@@ -39,7 +39,6 @@ from .measure import (
 )
 from .mehler import (
     KernelValue,
-    QuadratureSpec,
     kernel_K,
     kernel_lower_bound,
     kernel_upper_bound,

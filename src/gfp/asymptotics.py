@@ -26,16 +26,10 @@ import numpy as np
 
 from . import sets
 from .errors import OverlapError
-from .interaction import (
-    Budget,
-    InteractionEstimate,
-    interaction,
-    perimeter,
-)
+from .interaction import Budget, InteractionEstimate, _three_pieces, perimeter
 from .measure import MeasureEstimate, gauss_measure
-from .mehler import QuadratureSpec
 
-_S_LIST_DEFAULT = tuple(2.0 ** -k for k in range(1, 9))
+DEFAULT_S_LIST = tuple(2.0 ** -k for k in range(1, 9))
 
 
 @dataclass(frozen=True)
@@ -158,8 +152,7 @@ def _fit_small_s(s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def sweep(e: sets.SetExpr, omega: sets.SetExpr = sets.FullSpace(),
-          s_list=_S_LIST_DEFAULT, spec: QuadratureSpec = QuadratureSpec(),
-          budget: Budget | None = None, seed: int = 0,
+          s_list=DEFAULT_S_LIST, budget: Budget | None = None, seed: int = 0,
           dim: int = 1) -> SweepResult:
     """s * perimeter along a decreasing s grid, extrapolated to s = 0."""
     s_arr = np.asarray(sorted(set(float(s) for s in s_list), reverse=True))
@@ -170,8 +163,7 @@ def sweep(e: sets.SetExpr, omega: sets.SetExpr = sets.FullSpace(),
         raise ValueError("s values must lie in (0,1)")
     vals, errs, methods = [], [], []
     for s in s_arr:
-        est = perimeter(e, omega, s, spec=spec, budget=budget, seed=seed,
-                        dim=dim).total
+        est = perimeter(e, omega, s, budget=budget, seed=seed, dim=dim).total
         vals.append(s * est.value)
         errs.append(s * est.error)
         methods.append(est.method)
@@ -245,19 +237,14 @@ def sweep_row_lower_bound(e: sets.SetExpr, omega: sets.SetExpr, s: float,
     above it within estimator error.
     """
     ball = sets.Ball(center=(0.0,) * dim, radius=radius)
-    ec, oc = sets.complement(e), sets.complement(omega)
 
     def mass(expr):
         return gauss_measure(sets.Intersection(expr, ball), dim=dim,
                              seed=seed).value
 
-    e_in = mass(sets.Intersection(e, omega))
-    ec_in = mass(sets.Intersection(ec, omega))
-    e_out = mass(sets.Intersection(e, oc))
-    ec_out = mass(sets.Intersection(ec, oc))
     q = math.exp(-2.0 / s)
     pref = 2.0 * math.exp(-2.0 * q * radius ** 2 / (1.0 - q)) * s ** (s / 2.0)
-    return pref * (e_in * ec_in + e_in * ec_out + e_out * ec_in)
+    return pref * sum(mass(a) * mass(b) for a, b in _three_pieces(e, omega))
 
 
 @dataclass(frozen=True)
@@ -327,13 +314,12 @@ class DivergentExample:
     intervals: sets.IntervalUnion
     lower_bound: float
 
-    def perimeter_estimate(self, spec: QuadratureSpec = QuadratureSpec(),
-                           budget: Budget | None = None,
+    def perimeter_estimate(self, budget: Budget | None = None,
                            seed: int = 0) -> InteractionEstimate:
         """Direct quadrature of the truncated set's perimeter (small J only)."""
         omega = sets.IntervalUnion(intervals=((0.0, self.total_length),))
-        return perimeter(self.intervals, omega, self.s, spec=spec,
-                         budget=budget, seed=seed, dim=1).total
+        return perimeter(self.intervals, omega, self.s, budget=budget,
+                         seed=seed, dim=1).total
 
 
 def divergent_example(pairs: int, s: float,

@@ -18,19 +18,22 @@ import tempfile
 from . import asymptotics, sets, spectral
 from .errors import GfpError, SingularInputError
 from .interaction import Budget, j_lambda, perimeter
-from .mehler import QuadratureSpec, kernel_K
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("GFP_WORKERS")
-    return int(env) if env else 1
+from .mehler import REL_TOL, kernel_K
 
 
 def _load_set(path: str) -> tuple[sets.SetExpr, int]:
     with open(path) as fh:
         return sets.set_from_json(fh.read())
+
+
+def _load_pair(args, parser) -> tuple[sets.SetExpr, sets.SetExpr, int]:
+    """E from --set and Omega from --omega (the full space by default)."""
+    e, dim = _load_set(args.set)
+    omega, odim = (_load_set(args.omega) if args.omega
+                   else (sets.FullSpace(), dim))
+    if odim != dim:
+        parser.error("E and Omega dimensions differ")
+    return e, omega, dim
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -55,10 +58,15 @@ def _summary(command: str, value: float, err: float) -> None:
     print(f"{command} value={value!r} err={err!r}")
 
 
-def _spec(args) -> QuadratureSpec:
-    if args.tol is not None:
-        return QuadratureSpec(rel_tol=args.tol)
-    return QuadratureSpec()
+def _emit_row(args, est) -> None:
+    """One (s, value, error, method) row as CSV or JSON, plus the summary."""
+    if args.format == "json":
+        _emit(args, json.dumps({"s": args.s, "value": est.value,
+                                "error": est.error, "method": est.method}))
+    else:
+        _emit(args, "s,value,error,method\n"
+              f"{args.s!r},{est.value!r},{est.error!r},{est.method}\n")
+    _summary(args.command, est.value, est.error)
 
 
 def _budget(args) -> Budget | None:
@@ -78,64 +86,38 @@ def _cmd_kernel(args, parser) -> int:
         parser.error("--sigma must lie in (0, 2)")
     x = [float(t) for t in args.x.split(",")]
     y = [float(t) for t in args.y.split(",")]
-    kv = kernel_K(args.sigma, x, y, spec=_spec(args))
+    kv = kernel_K(args.sigma, x, y, rel_tol=args.tol)
     _emit(args, json.dumps({"value": kv.value, "error": kv.error_bound}))
     _summary("kernel", kv.value, kv.error_bound)
     return 0
 
 
 def _cmd_perimeter(args, parser) -> int:
-    e, dim = _load_set(args.set)
-    omega, odim = (_load_set(args.omega) if args.omega
-                   else (sets.FullSpace(), dim))
-    if odim != dim:
-        parser.error("E and Omega dimensions differ")
+    e, omega, dim = _load_pair(args, parser)
     if not 0 < args.s < 1:
         parser.error("--s must lie in (0, 1)")
-    est = perimeter(e, omega, args.s, spec=_spec(args),
-                                budget=_budget(args), seed=args.seed,
-                                dim=dim).total
-    if args.format == "json":
-        _emit(args, json.dumps({"s": args.s, "value": est.value,
-                                "error": est.error, "method": est.method}))
-    else:
-        _emit(args, "s,value,error,method\n"
-              f"{args.s!r},{est.value!r},{est.error!r},{est.method}\n")
-    _summary("perimeter", est.value, est.error)
+    _emit_row(args, perimeter(e, omega, args.s, budget=_budget(args),
+                              seed=args.seed, dim=dim).total)
     return 0
 
 
 def _cmd_jlambda(args, parser) -> int:
-    e, dim = _load_set(args.set)
-    omega, odim = (_load_set(args.omega) if args.omega
-                   else (sets.FullSpace(), dim))
-    if odim != dim:
-        parser.error("E and Omega dimensions differ")
+    e, omega, dim = _load_pair(args, parser)
     if not 0 < args.s < 1:
         parser.error("--s must lie in (0, 1)")
-    est = j_lambda(e, omega, args.s, budget=_budget(args), dim=dim).total
-    if args.format == "json":
-        _emit(args, json.dumps({"s": args.s, "value": est.value,
-                                "error": est.error, "method": est.method}))
-    else:
-        _emit(args, "s,value,error,method\n"
-              f"{args.s!r},{est.value!r},{est.error!r},{est.method}\n")
-    _summary("jlambda", est.value, est.error)
+    _emit_row(args, j_lambda(e, omega, args.s, budget=_budget(args),
+                             dim=dim).total)
     return 0
 
 
 def _cmd_sweep(args, parser) -> int:
-    e, dim = _load_set(args.set)
-    omega, odim = (_load_set(args.omega) if args.omega
-                   else (sets.FullSpace(), dim))
-    if odim != dim:
-        parser.error("E and Omega dimensions differ")
+    e, omega, dim = _load_pair(args, parser)
     s_list = (_s_list(args.s_list) if args.s_list
-              else [2.0 ** -k for k in range(1, 9)])
+              else asymptotics.DEFAULT_S_LIST)
     if any(not 0 < s < 1 for s in s_list):
         parser.error("--s-list values must lie in (0, 1)")
-    result = asymptotics.sweep(e, omega, s_list, spec=_spec(args),
-                               budget=_budget(args), seed=args.seed, dim=dim)
+    result = asymptotics.sweep(e, omega, s_list, budget=_budget(args),
+                               seed=args.seed, dim=dim)
     if args.format == "json":
         _emit(args, result.to_json())
     else:
@@ -149,11 +131,7 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_limit(args, parser) -> int:
-    e, dim = _load_set(args.set)
-    omega, odim = (_load_set(args.omega) if args.omega
-                   else (sets.FullSpace(), dim))
-    if odim != dim:
-        parser.error("E and Omega dimensions differ")
+    e, omega, dim = _load_pair(args, parser)
     lv = asymptotics.mu_limit(e, omega, dim=dim, seed=args.seed)
     _emit(args, json.dumps({"mu": lv.mu, "error": lv.error,
                             "method": lv.method}))
@@ -201,13 +179,19 @@ def _cmd_example(args, parser) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp) -> None:
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
+_FLAGS = {
+    "--seed": dict(type=int, default=0),
+    "--budget": dict(type=int, default=None),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--tol": dict(type=float, default=REL_TOL),
+    "--out": dict(default=None),
+}
+
+
+def _add_flags(sp, *names) -> None:
+    """The shared flags a subcommand reads; every subcommand takes --out."""
+    for name in names + ("--out",):
+        sp.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,18 +205,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--x", required=True, help="comma-separated coordinates")
     p.add_argument("--y", required=True, help="comma-separated coordinates")
-    _add_common(p)
+    _add_flags(p, "--tol")
     p.set_defaults(run=_cmd_kernel)
 
-    for name, fn, helptext in (
-        ("perimeter", _cmd_perimeter, "fractional Gaussian perimeter"),
-        ("jlambda", _cmd_jlambda, "Lebesgue-kernel Gaussian functional"),
+    for name, fn, helptext, flags in (
+        ("perimeter", _cmd_perimeter, "fractional Gaussian perimeter",
+         ("--seed", "--budget", "--format")),
+        ("jlambda", _cmd_jlambda, "Lebesgue-kernel Gaussian functional",
+         ("--budget", "--format")),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--set", required=True, help="E as JSON file")
         p.add_argument("--omega", default=None, help="Omega as JSON file")
         p.add_argument("--s", type=float, required=True)
-        _add_common(p)
+        _add_flags(p, *flags)
         p.set_defaults(run=fn)
 
     p = sub.add_parser("sweep", help="s * perimeter sweep with extrapolation")
@@ -240,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", default=None)
     p.add_argument("--s-list", default=None,
                    help="comma-separated decreasing s values")
-    _add_common(p)
+    _add_flags(p, "--seed", "--budget", "--format")
     p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("limit", help="closed-form small-s limit mu")
     p.add_argument("--set", required=True)
     p.add_argument("--omega", default=None)
-    _add_common(p)
+    _add_flags(p, "--seed")
     p.set_defaults(run=_cmd_limit)
 
     p = sub.add_parser("spectral", help="Hermite spectral seminorm")
@@ -254,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", default=None)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--degree", type=int, default=10 ** 5)
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(run=_cmd_spectral)
 
     p = sub.add_parser("example", help="divergent-perimeter lower bound")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(run=_cmd_example)
 
     return parser
@@ -269,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    os.environ.setdefault("GFP_WORKERS", "1")
-    _ = _workers(args)
     try:
         return args.run(args, parser)
     except SingularInputError as exc:

@@ -25,8 +25,8 @@ from numpy.polynomial.legendre import leggauss
 
 from . import sets
 from .errors import BudgetExceededError, OverlapError
-from .measure import MeasureEstimate, gauss_measure, gamma_fn, sample_gaussian, _rng, std_normal_cdf
-from .mehler import DEFAULT_SPEC, QuadratureSpec, kernel_batch, kernel_upper_bound_radial
+from .measure import gauss_measure, gamma_fn, sample_gaussian, _rng, std_normal_cdf
+from .mehler import kernel_batch, kernel_upper_bound_radial
 from .sets import SetExpr
 
 R_TRUNC_GAUSS = 8.6    # gamma mass beyond ~ 4e-18
@@ -35,6 +35,7 @@ _GRADE_LEVELS = 40
 _H_MAX = 0.25
 _GL_ORDER = 8
 _SHELL_R_LO = 1e-6
+_N_PAIRS = 200_000  # Monte Carlo pairs per estimate
 
 
 @dataclass
@@ -205,9 +206,9 @@ def _quadrature_1d(ivs_a, ivs_b, kernel_fn, density, r_trunc, far_kernel, budget
 # kernels
 # ---------------------------------------------------------------------------
 
-def _subordinated_kernel_1d(sigma, spec):
+def _subordinated_kernel_1d(sigma):
     def kernel_fn(x, y):
-        return kernel_batch(sigma, x * x + y * y, x * y, (x - y) ** 2, 1, spec)
+        return kernel_batch(sigma, x * x + y * y, x * y, (x - y) ** 2, 1)
     return kernel_fn
 
 
@@ -216,11 +217,6 @@ def _euclidean_kernel_1d(expo):
         k = np.abs(x - y) ** (-expo)
         return k, k * 1e-14
     return kernel_fn
-
-
-def _far_kernel_scale(sigma, dist, n_dim, spec):
-    """Majorant of the kernel at separations >= dist; bounds clipped tails."""
-    return kernel_upper_bound_radial(sigma, max(dist, 1e-3), n_dim, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +242,32 @@ def _check_disjoint_mc(a, b, dim, seed):
         raise OverlapError(f"operands overlap on ~{frac:.1%} of Gaussian mass")
 
 
+def _intervals_1d(a: SetExpr, b: SetExpr):
+    """Both operands as interval unions; None if either is empty."""
+    ivs_a = sets.to_intervals(a)
+    ivs_b = sets.to_intervals(b)
+    if not ivs_a or not ivs_b:
+        return None
+    if sets._intersect_1d(ivs_a, ivs_b):
+        raise OverlapError("operands overlap (nonempty interval intersection)")
+    return ivs_a, ivs_b
+
+
+def _three_pieces(e: SetExpr, omega: SetExpr):
+    """Operand pairs of the three-term split of E relative to Omega.
+
+    (E & Omega, E^c & Omega), (E & Omega, E^c & Omega^c) and
+    (E & Omega^c, E^c & Omega), in the order of PerimeterBreakdown.
+    """
+    ec = sets.complement(e)
+    oc = sets.complement(omega)
+    e_in = sets.Intersection(e, omega)
+    ec_in = sets.Intersection(ec, omega)
+    return [(e_in, ec_in),
+            (e_in, sets.Intersection(ec, oc)),
+            (sets.Intersection(e, oc), ec_in)]
+
+
 def _is_exactly_empty(expr, dim):
     if dim == 1:
         return not sets.to_intervals(expr)
@@ -261,12 +283,11 @@ def interaction(
     a: SetExpr,
     b: SetExpr,
     s: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    *,
     budget: Budget | None = None,
     seed: int = 0,
     dim: int | None = None,
     kernel_sigma: float | None = None,
-    n_pairs: int = 200_000,
 ) -> InteractionEstimate:
     """Interaction energy of disjoint sets under the subordinated kernel.
 
@@ -280,34 +301,33 @@ def interaction(
     n_dim = _operand_dim(a, b, dim)
 
     if n_dim == 1:
-        ivs_a = sets.to_intervals(a)
-        ivs_b = sets.to_intervals(b)
-        if not ivs_a or not ivs_b:
+        pair = _intervals_1d(a, b)
+        if pair is None:
             return ZERO_ESTIMATE
-        if sets._intersect_1d(ivs_a, ivs_b):
-            raise OverlapError("operands overlap (nonempty interval intersection)")
+        ivs_a, ivs_b = pair
         sep = min(
             (_point_set_distance(p, ivs_b)
              for iv in ivs_a for p in iv if math.isfinite(p)),
             default=R_TRUNC_GAUSS,
         )
-        far = _far_kernel_scale(sigma, max(sep, R_TRUNC_GAUSS), 1, spec)
+        # kernel majorant at the truncation radius bounds the clipped tails
+        far = kernel_upper_bound_radial(sigma, max(sep, R_TRUNC_GAUSS), 1)
         return _quadrature_1d(
-            ivs_a, ivs_b, _subordinated_kernel_1d(sigma, spec),
+            ivs_a, ivs_b, _subordinated_kernel_1d(sigma),
             _gauss_density_1d, R_TRUNC_GAUSS, far, budget,
         )
 
     if _is_exactly_empty(a, n_dim) or _is_exactly_empty(b, n_dim):
         return ZERO_ESTIMATE
     _check_disjoint_mc(a, b, n_dim, seed)
-    return _interaction_mc(a, b, sigma, spec, budget, seed, n_dim, n_pairs)
+    return _interaction_mc(a, b, sigma, budget, seed, n_dim)
 
 
 def _sphere_surface(n_dim: int) -> float:
     return 2.0 * math.pi ** (n_dim / 2.0) / gamma_fn(n_dim / 2.0)
 
 
-def _interaction_mc(a, b, sigma, spec, budget, seed, n_dim, n_pairs):
+def _interaction_mc(a, b, sigma, budget, seed, n_dim):
     """Mixture importance sampling of the pair integral.
 
     x ~ gamma|_A.  y from an equal mixture of gamma|_B and a shell around
@@ -315,7 +335,7 @@ def _interaction_mc(a, b, sigma, spec, budget, seed, n_dim, n_pairs):
     soaks up the near-diagonal kernel mass so the weighted integrand has
     finite variance even for touching operands).
     """
-    n = min(n_pairs, budget.remaining)
+    n = min(_N_PAIRS, budget.remaining)
     if n < 1000:
         raise BudgetExceededError("fewer than 1000 Monte Carlo pairs left in budget")
     budget.charge(n)
@@ -356,7 +376,7 @@ def _interaction_mc(a, b, sigma, spec, budget, seed, n_dim, n_pairs):
         xs, ys = x[live], y[live]
         sq = np.einsum("ij,ij->i", xs, xs) + np.einsum("ij,ij->i", ys, ys)
         xy = np.einsum("ij,ij->i", xs, ys)
-        kv, _ = kernel_batch(sigma, sq, xy, r[live] ** 2, n_dim, spec)
+        kv, _ = kernel_batch(sigma, sq, xy, r[live] ** 2, n_dim)
         weighted[live] = kv * gauss_pdf_y[live] / q[live]
 
     mean = float(weighted.mean())
@@ -377,45 +397,24 @@ def perimeter(
     e: SetExpr,
     omega: SetExpr,
     s: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    *,
     budget: Budget | None = None,
     seed: int = 0,
     dim: int | None = None,
 ) -> PerimeterBreakdown:
     """Three-term fractional perimeter of E relative to the window Omega."""
     budget = budget if budget is not None else Budget()
-    ec = sets.complement(e)
-    oc = sets.complement(omega)
-    pieces = [
-        (sets.Intersection(e, omega), sets.Intersection(ec, omega)),
-        (sets.Intersection(e, omega), sets.Intersection(ec, oc)),
-        (sets.Intersection(e, oc), sets.Intersection(ec, omega)),
-    ]
-    parts = []
-    for pa, pb in pieces:
-        n_dim = _operand_dim(pa, pb, dim)
-        if _is_exactly_empty(pa, n_dim) or _is_exactly_empty(pb, n_dim):
-            parts.append(ZERO_ESTIMATE)
-        else:
-            parts.append(
-                interaction(pa, pb, s, spec=spec, budget=budget, seed=seed, dim=dim)
-            )
-    return PerimeterBreakdown(*parts)
-
-
-def _lambda_interval_mass(ivs):
-    total = 0.0
-    for a, b in ivs:
-        total += math.sqrt(2.0) * (
-            std_normal_cdf(b / math.sqrt(2.0)) - std_normal_cdf(a / math.sqrt(2.0))
-        )
-    return total
+    return PerimeterBreakdown(*(
+        interaction(pa, pb, s, budget=budget, seed=seed, dim=dim)
+        for pa, pb in _three_pieces(e, omega)
+    ))
 
 
 def j_lambda(
     e: SetExpr,
     omega: SetExpr,
     s: float,
+    *,
     budget: Budget | None = None,
     dim: int | None = None,
 ) -> PerimeterBreakdown:
@@ -429,29 +428,18 @@ def j_lambda(
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0,1), got {s}")
     budget = budget if budget is not None else Budget()
-    ec = sets.complement(e)
-    oc = sets.complement(omega)
-    pieces = [
-        (sets.Intersection(e, omega), sets.Intersection(ec, omega)),
-        (sets.Intersection(e, omega), sets.Intersection(ec, oc)),
-        (sets.Intersection(e, oc), sets.Intersection(ec, omega)),
-    ]
     parts = []
-    for pa, pb in pieces:
-        n_dim = _operand_dim(pa, pb, dim)
-        if n_dim != 1:
+    for pa, pb in _three_pieces(e, omega):
+        if _operand_dim(pa, pb, dim) != 1:
             raise NotImplementedError("j_lambda is implemented for N = 1")
-        ivs_a = sets.to_intervals(pa)
-        ivs_b = sets.to_intervals(pb)
-        if not ivs_a or not ivs_b:
+        pair = _intervals_1d(pa, pb)
+        if pair is None:
             parts.append(ZERO_ESTIMATE)
             continue
-        if sets._intersect_1d(ivs_a, ivs_b):
-            raise OverlapError("operands overlap (nonempty interval intersection)")
         far = max(1.0, R_TRUNC_LAMBDA) ** (-(1.0 + s)) * 4.0
         parts.append(
             _quadrature_1d(
-                ivs_a, ivs_b, _euclidean_kernel_1d(1.0 + s),
+                *pair, _euclidean_kernel_1d(1.0 + s),
                 _lambda_density_1d, R_TRUNC_LAMBDA, far, budget,
             )
         )
@@ -465,11 +453,10 @@ def j_lambda(
 def seminorm_sq_direct(
     u,
     s: float,
+    *,
     dim: int = 1,
-    spec: QuadratureSpec = DEFAULT_SPEC,
     budget: Budget | None = None,
     seed: int = 0,
-    n_pairs: int = 200_000,
 ) -> InteractionEstimate:
     """Squared Gaussian-Sobolev seminorm by the double integral, index s.
 
@@ -485,13 +472,13 @@ def seminorm_sq_direct(
     budget = budget if budget is not None else Budget()
     if isinstance(u, sets.SetExpr):
         est = interaction(
-            u, sets.complement(u), s, spec=spec, budget=budget,
+            u, sets.complement(u), s, budget=budget,
             seed=seed, dim=dim, kernel_sigma=2.0 * s,
         )
         return InteractionEstimate(
             2.0 * est.value, 2.0 * est.error, est.method, est.samples_or_cells
         )
-    n = min(n_pairs, budget.remaining)
+    n = min(_N_PAIRS, budget.remaining)
     if n < 1000:
         raise BudgetExceededError("fewer than 1000 Monte Carlo pairs left in budget")
     budget.charge(n)
@@ -503,7 +490,7 @@ def seminorm_sq_direct(
     rsq = np.einsum("ij,ij->i", x - y, x - y)
     live = rsq > 0.0
     vals = np.zeros(n)
-    kv, _ = kernel_batch(2.0 * s, sq[live], xy[live], rsq[live], dim, spec)
+    kv, _ = kernel_batch(2.0 * s, sq[live], xy[live], rsq[live], dim)
     vals[live] = du[live] ** 2 * kv
     mean = float(vals.mean())
     se = float(vals.std(ddof=1)) / math.sqrt(n)

@@ -30,30 +30,13 @@ from .errors import SingularInputError, ToleranceError
 
 _LOG_SAFE_MIN = -690.0  # exp() underflow guard
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the subordination time-integral.
-
-    split_time separates the near-field (log-substituted) and far-field
-    (adaptive) pieces; tail_time is where the analytic tail takes over;
-    log_step is the grid spacing of the vectorized Simpson path.
-    """
-
-    split_time: float = 1.0
-    rel_tol: float = 1e-8
-    tail_time: float = 40.0
-    near_zero_substitution: bool = True
-    log_step: float = 0.01
-
-    def __post_init__(self):
-        if not 0 < self.split_time <= self.tail_time:
-            raise ValueError("require 0 < split_time <= tail_time")
-        if not 0 < self.rel_tol <= 1e-2:
-            raise ValueError("rel_tol must lie in (0, 1e-2]")
-
-
-DEFAULT_SPEC = QuadratureSpec()
+# The subordination time integral: log-substituted near field on
+# (0, _SPLIT_TIME], adaptive far field up to _TAIL_TIME, analytic tail beyond;
+# _LOG_STEP is the grid spacing of the vectorized Simpson path.
+_SPLIT_TIME = 1.0
+_TAIL_TIME = 40.0
+_LOG_STEP = 0.01
+REL_TOL = 1e-8  # default relative tolerance of the scalar kernel
 
 
 @dataclass(frozen=True)
@@ -166,48 +149,52 @@ def _tail_term(sigma: float, rsq: float, sq: float, n_dim: int, bigt: float):
     return tail, tail * eps
 
 
-def kernel_K(sigma: float, x, y, spec: QuadratureSpec = DEFAULT_SPEC) -> KernelValue:
-    """Subordinated kernel K_sigma(x,y), sigma in (0,2), x != y.
+def _subordinate(sigma: float, rsq: float, sq: float, n_dim: int,
+                 rel_tol: float) -> tuple[float, float]:
+    """int_0^inf exp(log M_t) t^{-sigma/2-1} dt for one pair, with its error.
 
-    Three pieces: log-substituted near field on (0, split_time], adaptive
-    far field on (split_time, tail_time], analytic tail beyond.
+    Three pieces: log-substituted near field on (0, _SPLIT_TIME], adaptive
+    far field on (_SPLIT_TIME, _TAIL_TIME], analytic tail beyond.
     """
-    if not 0 < sigma < 2:
-        raise ValueError(f"sigma must lie in (0,2), got {sigma}")
-    sq, xy, rsq, n_dim = _pair_stats(x, y)
-    if rsq == 0.0:
-        raise SingularInputError("kernel_K is singular at x = y")
-
     def integrand_t(t: float) -> float:
         lp, c_r, c_s = _mehler_coeffs(t, n_dim)
         expo = lp + c_r * rsq + c_s * sq - (sigma / 2.0 + 1.0) * math.log(t)
         return math.exp(max(expo, _LOG_SAFE_MIN))
 
-    t0 = _t_floor(rsq, sq, n_dim)
-    eps_quad = max(spec.rel_tol * 1e-3, 1e-13)  # QUADPACK floor
-    if spec.near_zero_substitution:
-        # v = log t: the Gauss-Weierstrass spike becomes a smooth bump
-        def integrand_v(v: float) -> float:
-            t = math.exp(v)
-            return integrand_t(t) * t
+    # v = log t: the Gauss-Weierstrass spike becomes a smooth bump
+    def integrand_v(v: float) -> float:
+        t = math.exp(v)
+        return integrand_t(t) * t
 
-        near, err_near = quad(
-            integrand_v, math.log(t0), math.log(spec.split_time),
-            epsabs=0.0, epsrel=eps_quad, limit=400,
-        )
-    else:
-        near, err_near = quad(
-            integrand_t, t0, spec.split_time,
-            epsabs=0.0, epsrel=eps_quad, limit=400,
-        )
-    far, err_far = quad(
-        integrand_t, spec.split_time, spec.tail_time,
+    t0 = _t_floor(rsq, sq, n_dim)
+    eps_quad = max(rel_tol * 1e-3, 1e-13)  # QUADPACK floor
+    near, err_near = quad(
+        integrand_v, math.log(t0), math.log(_SPLIT_TIME),
         epsabs=0.0, epsrel=eps_quad, limit=400,
     )
-    tail, err_tail = _tail_term(sigma, rsq, sq, n_dim, spec.tail_time)
+    far, err_far = quad(
+        integrand_t, _SPLIT_TIME, _TAIL_TIME,
+        epsabs=0.0, epsrel=eps_quad, limit=400,
+    )
+    tail, err_tail = _tail_term(sigma, rsq, sq, n_dim, _TAIL_TIME)
     value = near + far + tail
-    error = err_near + err_far + err_tail + value * 1e-14
-    if error > spec.rel_tol * value:
+    return value, err_near + err_far + err_tail + value * 1e-14
+
+
+def kernel_K(sigma: float, x, y, rel_tol: float = REL_TOL) -> KernelValue:
+    """Subordinated kernel K_sigma(x,y), sigma in (0,2), x != y.
+
+    Raises ToleranceError when the error bound exceeds rel_tol * value.
+    """
+    if not 0 < sigma < 2:
+        raise ValueError(f"sigma must lie in (0,2), got {sigma}")
+    if not 0 < rel_tol <= 1e-2:
+        raise ValueError("rel_tol must lie in (0, 1e-2]")
+    sq, _, rsq, n_dim = _pair_stats(x, y)
+    if rsq == 0.0:
+        raise SingularInputError("kernel_K is singular at x = y")
+    value, error = _subordinate(sigma, rsq, sq, n_dim, rel_tol)
+    if error > rel_tol * value:
         raise ToleranceError(
             f"kernel_K error bound {error:.3e} exceeds rel_tol*value",
             value=value, error_bound=error,
@@ -219,60 +206,27 @@ def kernel_K(sigma: float, x, y, spec: QuadratureSpec = DEFAULT_SPEC) -> KernelV
 # radial upper bound
 # ---------------------------------------------------------------------------
 
-def kernel_upper_bound_radial(
-    sigma: float, r: float, n_dim: int, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
+def kernel_upper_bound_radial(sigma: float, r: float, n_dim: int) -> float:
     """Decreasing radial majorant: the kernel bound at separation r >= 0.
 
-    Integrand exp(-e^t r^2 / (2(e^{2t}-1))) t^{-sigma/2-1} (1-e^{-2t})^{-N/2}.
+    The subordination integral at |x|^2 + |y|^2 = 0, value plus error so
+    that the quadrature leaves it a bound.
     """
     if not 0 < sigma < 2:
         raise ValueError(f"sigma must lie in (0,2), got {sigma}")
     if r == 0.0:
         raise SingularInputError("radial bound diverges at r = 0")
-    rsq = r * r
-
-    def integrand_t(t: float) -> float:
-        em = -math.expm1(-2.0 * t)
-        # e^t / (e^{2t} - 1) = e^{-t} / (1 - e^{-2t})
-        expo = (
-            -math.exp(-t) * rsq / (2.0 * em)
-            - 0.5 * n_dim * math.log(em)
-            - (sigma / 2.0 + 1.0) * math.log(t)
-        )
-        return math.exp(max(expo, _LOG_SAFE_MIN))
-
-    t0 = _t_floor(rsq, 0.0, n_dim)
-    eps_quad = max(spec.rel_tol * 1e-3, 1e-13)  # QUADPACK floor
-
-    def integrand_v(v: float) -> float:
-        t = math.exp(v)
-        return integrand_t(t) * t
-
-    near, _ = quad(
-        integrand_v, math.log(t0), math.log(spec.split_time),
-        epsabs=0.0, epsrel=eps_quad, limit=400,
-    )
-    far, _ = quad(
-        integrand_t, spec.split_time, spec.tail_time,
-        epsabs=0.0, epsrel=eps_quad, limit=400,
-    )
-    bigt = spec.tail_time
-    # beyond T the exp factor is within [exp(-r^2 e^{-T}/2), 1] ~ 1 and the
-    # algebraic factor within [1, (1-e^{-2T})^{-N/2}]
-    tail = (2.0 / sigma) * bigt ** (-sigma / 2.0)
-    return near + far + tail
+    value, error = _subordinate(sigma, r * r, 0.0, n_dim, REL_TOL)
+    return value + error
 
 
-def kernel_upper_bound(
-    sigma: float, x, y, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
+def kernel_upper_bound(sigma: float, x, y) -> float:
     """Pointwise majorant e^{|x|^2/4} e^{|y|^2/4} K~_sigma(|x-y|)."""
     sq, _, rsq, n_dim = _pair_stats(x, y)
     if rsq == 0.0:
         raise SingularInputError("kernel bound diverges at x = y")
     return math.exp(sq / 4.0) * kernel_upper_bound_radial(
-        sigma, math.sqrt(rsq), n_dim, spec
+        sigma, math.sqrt(rsq), n_dim
     )
 
 
@@ -309,7 +263,6 @@ def kernel_batch(
     xy: np.ndarray,
     rsq: np.ndarray,
     n_dim: int,
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> tuple[np.ndarray, np.ndarray]:
     """K_sigma for many pairs at once, given |x|^2+|y|^2, x.y and |x-y|^2.
 
@@ -326,7 +279,7 @@ def kernel_batch(
     out = np.empty_like(rsq)
     err = np.empty_like(rsq)
 
-    bigt = spec.tail_time
+    bigt = _TAIL_TIME
     tail = (2.0 / sigma) * bigt ** (-sigma / 2.0)
     eps = np.zeros_like(rsq)
     for tt in (bigt, 2.0 * bigt, 4.0 * bigt):
@@ -339,7 +292,7 @@ def kernel_batch(
         idx = np.nonzero(buckets == b)[0]
         t0 = _t_floor(float(rsq[idx].min()), float(sq[idx].max()), n_dim)
         vmin = math.log(t0)
-        n_panels = max(8, int(math.ceil((vmax - vmin) / spec.log_step)))
+        n_panels = max(8, int(math.ceil((vmax - vmin) / _LOG_STEP)))
         n_panels += (-n_panels) % 4  # multiple of 4: half grid is Simpson too
         vs = np.linspace(vmin, vmax, n_panels + 1)
         h = vs[1] - vs[0]

@@ -259,7 +259,7 @@ def to_intervals(expr: SetExpr) -> list[tuple[float, float]]:
         raise DimensionMismatchError("interval reduction requires a 1-D expression")
     if isinstance(expr, HalfSpace):
         n = expr.normal[0]
-        return [(-math.inf, expr.offset / n)] if n > 0 else [(-expr.offset / n, math.inf)]
+        return [(-math.inf, expr.offset / n)] if n > 0 else [(expr.offset / n, math.inf)]
     if isinstance(expr, Ball):
         c = expr.center[0]
         return [(c - expr.radius, c + expr.radius)]

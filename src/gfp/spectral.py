@@ -158,7 +158,7 @@ def _indicator_coefficients(ivs, degree: int) -> np.ndarray:
     return coeffs
 
 
-def expand(u, degree: int, dim: int = 1, quad_order: int | None = None) -> HermiteExpansion:
+def expand(u, degree: int, dim: int = 1) -> HermiteExpansion:
     """Hermite coefficients of a function or indicator up to total degree.
 
     Interval-union indicators use the exact endpoint identity (any degree);
@@ -183,10 +183,7 @@ def expand(u, degree: int, dim: int = 1, quad_order: int | None = None) -> Hermi
             f"quadrature expansion refused above degree {_QUAD_EXPAND_CAP}; "
             "oscillatory integrands make large-degree coefficients silently wrong"
         )
-    order = quad_order if quad_order is not None else max(2 * degree + 1, 64)
-    if order < 2 * degree:
-        raise ValueError("quadrature order must be at least twice the degree")
-    nodes, w = roots_hermitenorm(order)
+    nodes, w = roots_hermitenorm(max(2 * degree + 1, 64))
     weights = w / math.sqrt(2.0 * math.pi)
     vals = np.asarray(u(nodes.reshape(-1, 1)), dtype=float).ravel()
     table = np.stack([_normalized_hermite_series(xi, degree) for xi in nodes])

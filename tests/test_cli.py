@@ -148,7 +148,7 @@ def test_example_grows_with_pairs(capsys):
 
 def test_output_files_are_byte_identical_across_runs(half_json, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["jlambda", "--set", half_json, "--s", "0.5", "--seed", "7"]
+    args = ["jlambda", "--set", half_json, "--s", "0.5"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -160,7 +160,28 @@ def test_no_temp_files_left_behind(half_json, tmp_path):
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".gfp-")] == []
 
 
-def test_workers_env_fallback(half_json, monkeypatch, capsys):
-    monkeypatch.setenv("GFP_WORKERS", "4")
+# ---------------------------------------------------------------------------
+# flags
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--sigma", "0.5", "--x", "0", "--y", "1", "--seed", "1"],
+    ["limit", "--set", "E", "--format", "json"],
+    ["spectral", "--u", "h1", "--s", "0.25", "--budget", "5"],
+    ["jlambda", "--set", "E", "--s", "0.5", "--seed", "7"],
+    ["perimeter", "--set", "E", "--s", "0.5", "--tol", "1e-6"],
+    ["sweep", "--set", "E", "--workers", "2"],
+    ["example", "--pairs", "10", "--s", "0.5", "--format", "json"],
+])
+def test_unread_flag_is_usage_error(argv, half_json):
+    argv = [half_json if a == "E" else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+def test_main_leaves_environment_unchanged(half_json, monkeypatch, capsys):
+    monkeypatch.delenv("GFP_WORKERS", raising=False)
+    before = dict(os.environ)
     assert main(["limit", "--set", half_json]) == 0
-    assert "value=0.5" in capsys.readouterr().out
+    assert dict(os.environ) == before

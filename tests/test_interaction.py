@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -136,10 +137,43 @@ def test_perimeter_complement_symmetry():
     assert p.value == pytest.approx(pc.value, rel=1e-7)
 
 
+def _halfline_s_perimeter_mp(s):
+    """s * L_s((0, inf), (-inf, 0)) by mpmath, independent of the engine.
+
+    L = int_0^inf t^(-s/2-1) F(t) dt with Sheppard's F(t) = P(X > 0, Y < 0)
+    = atan(sqrt(expm1(2t))) / 2pi for a standard Gaussian pair of
+    correlation e^-t.  On (0, 1] the substitution t = w^(2/(1-s)) removes
+    the sqrt(t) singularity; on [1, inf) F = 1/4 - G with
+    G = atan(1/sqrt(expm1(2t))) / 2pi, whose 1/4 part integrates to
+    (2/s)/4 and whose G part is below 1e-27 past t = 64.
+    """
+    with mp.workdps(20):
+        s = mp.mpf(s)
+        p = 2 / (1 - s)
+
+        def near(w):
+            t = w ** p
+            return (p * w ** (-s / (1 - s) - 1)
+                    * mp.atan(mp.sqrt(mp.expm1(2 * t))) / (2 * mp.pi))
+
+        def far(t):
+            return (t ** (-s / 2 - 1)
+                    * mp.atan(1 / mp.sqrt(mp.expm1(2 * t))) / (2 * mp.pi))
+
+        return float(s * (mp.quad(near, [0, 1]) + (2 / s) / 4
+                          - mp.quad(far, [1, 64])))
+
+
 def test_perimeter_halfspace_reference():
-    # frozen from the validated sweep: s * P at s = 1/2 for (0, inf) in R
+    ref = _halfline_s_perimeter_mp(0.5)   # 0.91981851620950994453
     p = perimeter(HALF, sets.FullSpace(), 0.5, dim=1).total
-    assert 0.5 * p.value == pytest.approx(0.9198183889380241, rel=1e-6)
+    assert 0.5 * p.value == pytest.approx(ref, rel=1e-6)
+    assert abs(p.value - 2.0 * ref) <= p.error
+
+
+def test_perimeter_validates_s_when_every_piece_is_empty():
+    with pytest.raises(ValueError):
+        perimeter(sets.FullSpace(), sets.FullSpace(), 1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gfp.errors import SingularInputError, ToleranceError
 from gfp.mehler import (
-    QuadratureSpec,
     kernel_K,
     kernel_batch,
     kernel_lower_bound,
@@ -100,16 +99,14 @@ def test_kernel_sigma_domain(sigma):
         kernel_K(sigma, (0.0,), (1.0,))
 
 
-def test_quadrature_spec_validation():
+def test_kernel_rel_tol_validation():
     with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(tail_time=0.5)
+        kernel_K(0.5, (0.0,), (1.0,), rel_tol=0.0)
 
 
 def test_kernel_tight_tolerance_unreachable():
     with pytest.raises(ToleranceError) as info:
-        kernel_K(0.5, (0.0,), (1.0,), spec=QuadratureSpec(rel_tol=1e-16))
+        kernel_K(0.5, (0.0,), (1.0,), rel_tol=1e-16)
     assert info.value.value is not None  # partial result still reported
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfp import sets
+from gfp.measure import gauss_measure, std_normal_cdf
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -161,6 +162,24 @@ def test_to_intervals_merges_overlaps():
     e = sets.Union(sets.IntervalUnion(intervals=((0.0, 2.0),)),
                    sets.IntervalUnion(intervals=((1.0, 3.0),)))
     assert sets.to_intervals(e) == [(0.0, 3.0)]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("offset", [-1.5, -0.7, 0.0, 0.3, 2.0])
+def test_to_intervals_of_halfspace_matches_contains(sign, offset):
+    # {x : sign * x <= offset}: (-inf, offset] for sign +1, [-offset, inf)
+    # for sign -1
+    h = sets.HalfSpace(normal=(sign,), offset=offset)
+    ivs = sets.to_intervals(h)
+    x = np.linspace(-4.0, 4.0, 801)
+    x = x[np.abs(np.abs(x) - abs(offset)) > 1e-9]
+    in_ivs = np.zeros(x.size, dtype=bool)
+    for lo, hi in ivs:
+        in_ivs |= (x > lo) & (x < hi)
+    np.testing.assert_array_equal(sets.contains(h, x.reshape(-1, 1)), in_ivs)
+    # n . X is standard normal for a unit normal n, whatever its sign
+    assert gauss_measure(h, dim=1).value == pytest.approx(
+        std_normal_cdf(offset), abs=1e-15)
 
 
 def test_to_intervals_complement_of_halfline():

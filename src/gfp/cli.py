@@ -145,6 +145,9 @@ def _cmd_spectral(args, parser) -> int:
     if args.u == "chi":
         if not args.set:
             parser.error("--u chi requires --set")
+        if args.s >= 0.5:
+            parser.error("--u chi requires --s < 1/2: the seminorm of an "
+                         "indicator with a boundary point is infinite there")
         e, dim = _load_set(args.set)
         if dim != 1:
             parser.error("spectral expansion supports N = 1")

@@ -66,6 +66,11 @@ class InteractionEstimate:
     samples_or_cells: int
 
     def __add__(self, other: "InteractionEstimate") -> "InteractionEstimate":
+        # an operand that did no work (an empty piece) leaves the tag alone
+        if not other.samples_or_cells:
+            return self
+        if not self.samples_or_cells:
+            return other
         method = self.method if self.method == other.method else "hybrid"
         return InteractionEstimate(
             self.value + other.value, self.error + other.error,
@@ -141,26 +146,60 @@ def _graded_cells(a: float, b: float, grade_lo: bool, grade_hi: bool):
     return cells
 
 
-def _mesh_nodes(ivs, other_ivs, density, order=_GL_ORDER):
-    """Gauss-Legendre nodes/weights (measure-weighted) on a graded mesh.
+def _mesh_cells(ivs, other_ivs):
+    """The graded cells of each interval, one list per interval.
 
     Each interval end lying within _H_MAX of the other operand gets the
     geometric grading; that covers touching interfaces and near contacts.
     """
+    return [_graded_cells(a, b, _point_set_distance(a, other_ivs) < _H_MAX,
+                          _point_set_distance(b, other_ivs) < _H_MAX)
+            for a, b in ivs]
+
+
+def _mesh_nodes(cells, density, order):
+    """Gauss-Legendre nodes/weights (measure-weighted) on the cells."""
     z, w = leggauss(order)
     xs, ws = [], []
-    for a, b in ivs:
-        grade_lo = _point_set_distance(a, other_ivs) < _H_MAX
-        grade_hi = _point_set_distance(b, other_ivs) < _H_MAX
-        for lo, hi in _graded_cells(a, b, grade_lo, grade_hi):
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            nodes = mid + half * z
-            xs.append(nodes)
-            ws.append(half * w * density(nodes))
-    if not xs:
-        return np.empty(0), np.empty(0)
+    for lo, hi in (cell for iv_cells in cells for cell in iv_cells):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        nodes = mid + half * z
+        xs.append(nodes)
+        ws.append(half * w * density(nodes))
     return np.concatenate(xs), np.concatenate(ws)
+
+
+def _corner_correction(cells_a, cells_b, sigma, const):
+    """What the tensor rule misses at the endpoints the operands share.
+
+    At a point c where an interval of one operand ends and one of the
+    other begins, the integrand is A (u + v)^(-1-sigma) in the distances
+    u, v to c, up to a relative O(u + v), with
+    A = const e^(-c^2/2) / (2 pi).  The innermost graded cells (widths
+    h_a, h_b) form the only cell pair that touches this singularity, and
+    the order-8 rule misses a fixed fraction of it.  Returns the sum over
+    shared endpoints of A (I - Q): I is the model's exact integral over
+    that pair and Q the rule's value on it.
+    """
+    z, w = leggauss(_GL_ORDER)
+    total = 0.0
+    for left, right in ((cells_a, cells_b), (cells_b, cells_a)):
+        # a shared endpoint is graded on both sides, so cell ends hit it exactly
+        starts = {iv_cells[0][0]: iv_cells[0][1] for iv_cells in right}
+        for iv_cells in left:
+            lo, c = iv_cells[-1]
+            if c not in starts:
+                continue
+            h_a, h_b = c - lo, starts[c] - c
+            p = 1.0 - sigma
+            exact = (h_a ** p + h_b ** p - (h_a + h_b) ** p) / (sigma * p)
+            u, v = 0.5 * h_a * (1.0 + z), 0.5 * h_b * (1.0 + z)
+            rule = 0.25 * h_a * h_b * float(
+                w @ np.add.outer(u, v) ** (-1.0 - sigma) @ w)
+            amp = const * math.exp(-0.5 * c * c) / (2.0 * math.pi)
+            total += amp * (exact - rule)
+    return total
 
 
 def _gauss_density_1d(x):
@@ -181,21 +220,31 @@ def _tensor_sum(x, wx, y, wy, kernel_fn, budget):
     return float(vals), float(errs)
 
 
-def _quadrature_1d(ivs_a, ivs_b, kernel_fn, density, r_trunc, far_kernel, budget):
-    """Graded tensor quadrature for disjoint 1-D interval unions."""
+def _quadrature_1d(ivs_a, ivs_b, kernel_fn, density, r_trunc, far_kernel,
+                   budget, sigma, corner_const):
+    """Graded tensor quadrature for disjoint 1-D interval unions.
+
+    On the diagonal near a point c, kernel times densities tends to
+    corner_const e^(-c^2/2) / (2 pi) |x - y|^(-1-sigma); that sizes the
+    correction at endpoints the operands share.
+    """
     clip_a, tail_a = _clip_intervals(ivs_a, r_trunc)
     clip_b, tail_b = _clip_intervals(ivs_b, r_trunc)
     if not clip_a or not clip_b:
         return ZERO_ESTIMATE
-    xa, wa = _mesh_nodes(clip_a, clip_b, density)
-    xb, wb = _mesh_nodes(clip_b, clip_a, density)
+    cells_a = _mesh_cells(clip_a, clip_b)
+    cells_b = _mesh_cells(clip_b, clip_a)
+    xa, wa = _mesh_nodes(cells_a, density, _GL_ORDER)
+    xb, wb = _mesh_nodes(cells_b, density, _GL_ORDER)
     value, err_kernel = _tensor_sum(xa, wa, xb, wb, kernel_fn, budget)
-    # mesh residual: same cells, lower order
-    xa4, wa4 = _mesh_nodes(clip_a, clip_b, density, order=4)
-    xb4, wb4 = _mesh_nodes(clip_b, clip_a, density, order=4)
+    # mesh residual: same cells, lower order; it also covers what the
+    # corner correction leaves behind
+    xa4, wa4 = _mesh_nodes(cells_a, density, 4)
+    xb4, wb4 = _mesh_nodes(cells_b, density, 4)
     v4, _ = _tensor_sum(xa4, wa4, xb4, wb4, kernel_fn, budget)
     err_mesh = abs(value - v4)
     err_trunc = (tail_a + tail_b) * far_kernel
+    value += _corner_correction(cells_a, cells_b, sigma, corner_const)
     return InteractionEstimate(
         value, err_kernel + err_mesh + err_trunc,
         "graded-quadrature-1d", xa.size * xb.size,
@@ -208,7 +257,7 @@ def _quadrature_1d(ivs_a, ivs_b, kernel_fn, density, r_trunc, far_kernel, budget
 
 def _subordinated_kernel_1d(sigma):
     def kernel_fn(x, y):
-        return kernel_batch(sigma, x * x + y * y, x * y, (x - y) ** 2, 1)
+        return kernel_batch(sigma, sq=x * x + y * y, rsq=(x - y) ** 2, n_dim=1)
     return kernel_fn
 
 
@@ -261,18 +310,11 @@ def _three_pieces(e: SetExpr, omega: SetExpr):
     """
     ec = sets.complement(e)
     oc = sets.complement(omega)
-    e_in = sets.Intersection(e, omega)
-    ec_in = sets.Intersection(ec, omega)
+    e_in = sets.intersect(e, omega)
+    ec_in = sets.intersect(ec, omega)
     return [(e_in, ec_in),
-            (e_in, sets.Intersection(ec, oc)),
-            (sets.Intersection(e, oc), ec_in)]
-
-
-def _is_exactly_empty(expr, dim):
-    if dim == 1:
-        return not sets.to_intervals(expr)
-    m = gauss_measure(expr, dim=dim, n_mc=10 ** 4)
-    return m.method == "closed-form" and m.value == 0.0
+            (e_in, sets.intersect(ec, oc)),
+            (sets.intersect(e, oc), ec_in)]
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +329,10 @@ def interaction(
     budget: Budget | None = None,
     seed: int = 0,
     dim: int | None = None,
-    kernel_sigma: float | None = None,
 ) -> InteractionEstimate:
-    """Interaction energy of disjoint sets under the subordinated kernel.
-
-    ``kernel_sigma`` overrides the kernel index (the seminorm uses index
-    2s while the perimeter uses s); it defaults to s.
-    """
+    """Interaction energy of disjoint sets under the subordinated kernel of index s."""
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0,1), got {s}")
-    sigma = s if kernel_sigma is None else kernel_sigma
     budget = budget if budget is not None else Budget()
     n_dim = _operand_dim(a, b, dim)
 
@@ -311,23 +347,28 @@ def interaction(
             default=R_TRUNC_GAUSS,
         )
         # kernel majorant at the truncation radius bounds the clipped tails
-        far = kernel_upper_bound_radial(sigma, max(sep, R_TRUNC_GAUSS), 1)
+        far = kernel_upper_bound_radial(s, max(sep, R_TRUNC_GAUSS), 1)
+        # the r -> 0 constant of the kernel, as in kernel_lower_bound
+        const = 2.0 ** (s + 0.5) * gamma_fn((s + 1.0) / 2.0)
         return _quadrature_1d(
-            ivs_a, ivs_b, _subordinated_kernel_1d(sigma),
-            _gauss_density_1d, R_TRUNC_GAUSS, far, budget,
+            ivs_a, ivs_b, _subordinated_kernel_1d(s),
+            _gauss_density_1d, R_TRUNC_GAUSS, far, budget, s, const,
         )
 
-    if _is_exactly_empty(a, n_dim) or _is_exactly_empty(b, n_dim):
+    # an Empty operand has closed-form mass 0: no probe, no budget charge
+    mass_a = gauss_measure(a, dim=n_dim, seed=seed ^ 0xA)
+    mass_b = gauss_measure(b, dim=n_dim, seed=seed ^ 0xB)
+    if mass_a.value == 0.0 or mass_b.value == 0.0:
         return ZERO_ESTIMATE
     _check_disjoint_mc(a, b, n_dim, seed)
-    return _interaction_mc(a, b, sigma, budget, seed, n_dim)
+    return _interaction_mc(a, b, s, budget, seed, n_dim, mass_a, mass_b)
 
 
 def _sphere_surface(n_dim: int) -> float:
     return 2.0 * math.pi ** (n_dim / 2.0) / gamma_fn(n_dim / 2.0)
 
 
-def _interaction_mc(a, b, sigma, budget, seed, n_dim):
+def _interaction_mc(a, b, sigma, budget, seed, n_dim, mass_a, mass_b):
     """Mixture importance sampling of the pair integral.
 
     x ~ gamma|_A.  y from an equal mixture of gamma|_B and a shell around
@@ -339,11 +380,6 @@ def _interaction_mc(a, b, sigma, budget, seed, n_dim):
     if n < 1000:
         raise BudgetExceededError("fewer than 1000 Monte Carlo pairs left in budget")
     budget.charge(n)
-    mass_a = gauss_measure(a, dim=n_dim, seed=seed ^ 0xA)
-    mass_b = gauss_measure(b, dim=n_dim, seed=seed ^ 0xB)
-    if mass_a.value == 0.0 or mass_b.value == 0.0:
-        return ZERO_ESTIMATE
-
     x = sample_gaussian(n, seed=seed, dim=n_dim, restrict=a, stream=1)
     y_gauss = sample_gaussian(n, seed=seed, dim=n_dim, restrict=b, stream=2)
     rng = _rng(seed, 3)
@@ -375,8 +411,7 @@ def _interaction_mc(a, b, sigma, budget, seed, n_dim):
     if live.any():
         xs, ys = x[live], y[live]
         sq = np.einsum("ij,ij->i", xs, xs) + np.einsum("ij,ij->i", ys, ys)
-        xy = np.einsum("ij,ij->i", xs, ys)
-        kv, _ = kernel_batch(sigma, sq, xy, r[live] ** 2, n_dim)
+        kv, _ = kernel_batch(sigma, sq=sq, rsq=r[live] ** 2, n_dim=n_dim)
         weighted[live] = kv * gauss_pdf_y[live] / q[live]
 
     mean = float(weighted.mean())
@@ -440,7 +475,7 @@ def j_lambda(
         parts.append(
             _quadrature_1d(
                 *pair, _euclidean_kernel_1d(1.0 + s),
-                _lambda_density_1d, R_TRUNC_LAMBDA, far, budget,
+                _lambda_density_1d, R_TRUNC_LAMBDA, far, budget, s, 1.0,
             )
         )
     return PerimeterBreakdown(*parts)
@@ -463,18 +498,17 @@ def seminorm_sq_direct(
     The kernel index is 2s.  Indicator arguments (SetExpr) route through
     the interaction engine: the squared difference of an indicator is the
     symmetric pair indicator, so the seminorm is twice the E/E^c
-    interaction.  Callables are integrated by plain Monte Carlo over
-    independent Gaussian pairs (smooth integrands keep the variance
-    finite without the shell proposal).
+    interaction at index 2s; interaction refuses 2s >= 1, where that is
+    +inf whenever E has a boundary point.  Callables are integrated by
+    plain Monte Carlo over independent Gaussian pairs (smooth integrands
+    keep the variance finite without the shell proposal).
     """
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0,1), got {s}")
     budget = budget if budget is not None else Budget()
     if isinstance(u, sets.SetExpr):
-        est = interaction(
-            u, sets.complement(u), s, budget=budget,
-            seed=seed, dim=dim, kernel_sigma=2.0 * s,
-        )
+        est = interaction(u, sets.complement(u), 2.0 * s, budget=budget,
+                          seed=seed, dim=dim)
         return InteractionEstimate(
             2.0 * est.value, 2.0 * est.error, est.method, est.samples_or_cells
         )
@@ -486,11 +520,10 @@ def seminorm_sq_direct(
     y = sample_gaussian(n, seed=seed, dim=dim, stream=6)
     du = np.asarray(u(x), dtype=float) - np.asarray(u(y), dtype=float)
     sq = np.einsum("ij,ij->i", x, x) + np.einsum("ij,ij->i", y, y)
-    xy = np.einsum("ij,ij->i", x, y)
     rsq = np.einsum("ij,ij->i", x - y, x - y)
     live = rsq > 0.0
     vals = np.zeros(n)
-    kv, _ = kernel_batch(2.0 * s, sq[live], xy[live], rsq[live], dim)
+    kv, _ = kernel_batch(2.0 * s, sq=sq[live], rsq=rsq[live], n_dim=dim)
     vals[live] = du[live] ** 2 * kv
     mean = float(vals.mean())
     se = float(vals.std(ddof=1)) / math.sqrt(n)

@@ -205,6 +205,11 @@ def complement(expr: SetExpr) -> SetExpr:
     return Complement(expr)
 
 
+def intersect(left: SetExpr, right: SetExpr) -> SetExpr:
+    """Intersection that folds an Empty operand to Empty."""
+    return Empty() if Empty() in (left, right) else Intersection(left, right)
+
+
 # ---------------------------------------------------------------------------
 # 1-D interval algebra
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from scipy.special import roots_hermitenorm
 from . import sets
 from .errors import DimensionMismatchError
 from .measure import abs_gamma_neg, gamma_fn, std_normal_pdf
-from .sets import SetExpr
 
 _DEGREE_CAP = 200          # per-coordinate cap for pointwise evaluation
 _QUAD_EXPAND_CAP = 500     # beyond this, quadrature expansion is refused

@@ -134,6 +134,13 @@ def test_spectral_chi_requires_set():
     assert info.value.code == 2
 
 
+def test_spectral_chi_refuses_divergent_index(half_json):
+    # an indicator with a boundary point has infinite seminorm at s >= 1/2
+    with pytest.raises(SystemExit) as info:
+        main(["spectral", "--u", "chi", "--set", half_json, "--s", "0.6"])
+    assert info.value.code == 2
+
+
 def test_example_grows_with_pairs(capsys):
     assert main(["example", "--pairs", "100", "--s", "0.5"]) == 0
     small = float(capsys.readouterr().out.split("value=")[1].split(" ")[0])

@@ -164,11 +164,25 @@ def _halfline_s_perimeter_mp(s):
                           - mp.quad(far, [1, 64])))
 
 
-def test_perimeter_halfspace_reference():
-    ref = _halfline_s_perimeter_mp(0.5)   # 0.91981851620950994453
-    p = perimeter(HALF, sets.FullSpace(), 0.5, dim=1).total
-    assert 0.5 * p.value == pytest.approx(ref, rel=1e-6)
-    assert abs(p.value - 2.0 * ref) <= p.error
+@pytest.mark.parametrize("s", [0.5, 0.6, 0.75, 0.9])
+def test_perimeter_halfspace_reference(s):
+    # above s ~ 0.55 the bar covers the reference only with the corner
+    # correction at the shared endpoint
+    ref = _halfline_s_perimeter_mp(s)   # 0.91981851620950994453 at s = 1/2
+    p = perimeter(HALF, sets.FullSpace(), s, dim=1).total
+    assert s * p.value == pytest.approx(ref, rel=1e-7 if s <= 0.75 else 2e-6)
+    assert abs(p.value - ref / s) <= p.error
+
+
+def test_perimeter_skips_empty_pieces_in_higher_dimension():
+    # over R^2 two of the three pieces have an empty operand: they must
+    # cost nothing, so the one real piece gets the whole budget
+    budget = Budget(200_000)
+    p = perimeter(sets.HalfSpace((1.0, 0.0), 0.3), sets.FullSpace(), 0.5,
+                  dim=2, budget=budget).total
+    assert budget.used == 200_000
+    assert p.method == "monte-carlo"
+    assert p.value > 0
 
 
 def test_perimeter_validates_s_when_every_piece_is_empty():
@@ -186,6 +200,34 @@ def test_j_lambda_positive_and_finite():
     assert est.value > 0
 
 
+def _halfline_j_lambda_mp(c, s):
+    """J^lambda_s((c, inf); R) by mpmath, independent of the engine.
+
+    With r = y - x and x = c - r theta the pair integral is
+    int_0^inf r^(-s) int_0^1 rho(c - r theta) rho(c + r (1 - theta))
+    dtheta dr, rho(x) = e^(-x^2/4) / sqrt(2 pi).  The exponent is
+    -(c + r (1/2 - theta))^2 / 2 - r^2 / 8, so the theta integral is
+    e^(-r^2/8) (Phi(c + r/2) - Phi(c - r/2)) / (r sqrt(2 pi)).
+    """
+    with mp.workdps(20):
+        c, s = mp.mpf(c), mp.mpf(s)
+
+        def integrand(r):
+            inner = (mp.exp(-r * r / 8) * (mp.ncdf(c + r / 2) - mp.ncdf(c - r / 2))
+                     / (r * mp.sqrt(2 * mp.pi)))
+            return r ** (-s) * inner
+
+        return float(mp.quad(integrand, [0, 1, 4, 16, mp.inf]))
+
+
+@pytest.mark.parametrize("s", [0.6, 0.75])
+def test_j_lambda_halfline_reference(s):
+    c = 0.3
+    e = sets.IntervalUnion(intervals=((c, math.inf),))
+    est = j_lambda(e, sets.FullSpace(), s, dim=1).total
+    assert abs(est.value - _halfline_j_lambda_mp(c, s)) <= est.error
+
+
 def test_j_lambda_rejects_higher_dimension():
     e = sets.HalfSpace(normal=(1.0, 0.0), offset=0.0)
     with pytest.raises(NotImplementedError):
@@ -198,8 +240,20 @@ def test_j_lambda_rejects_higher_dimension():
 
 def test_seminorm_indicator_is_twice_the_interaction():
     est = seminorm_sq_direct(HALF, 0.25)
-    ref = interaction(HALF, sets.complement(HALF), 0.25, kernel_sigma=0.5)
+    ref = interaction(HALF, sets.complement(HALF), 0.5)
     assert est.value == pytest.approx(2.0 * ref.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.6])
+def test_seminorm_of_indicator_diverges_from_one_half(s):
+    # [chi_E]_s^2 = 2 L_{2s}(E, E^c) is infinite once 2s >= 1
+    with pytest.raises(ValueError):
+        seminorm_sq_direct(HALF, s)
+
+
+def test_seminorm_of_indicator_below_one_half():
+    est = seminorm_sq_direct(HALF, 0.45)
+    assert math.isfinite(est.value) and est.value > 0
 
 
 def test_seminorm_constant_function_vanishes():

@@ -1,7 +1,8 @@
-"""Mehler kernel, subordination quadratureices and the analytic bounds."""
+"""Mehler kernel, subordination quadrature and the analytic bounds."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,19 +160,59 @@ def test_bounds_bracket_the_kernel():
 # vectorized engine
 # ---------------------------------------------------------------------------
 
+def _subordination_mp(sigma, x, y):
+    """int_0^inf M_t(x, y) t^(-sigma/2-1) dt in mpmath, independent of gfp.
+
+    In v = log t the Gauss-Weierstrass spike at t -> 0 is a smooth bump,
+    integrated from t = r^2/400 up to T = 40; beyond T the Mehler factor
+    is 1 to ~e^-40 |x.y|, so the rest is the power tail
+    (2/sigma) T^(-sigma/2).
+    """
+    with mp.workdps(25):
+        x = [mp.mpf(float(c)) for c in x]
+        y = [mp.mpf(float(c)) for c in y]
+        n = len(x)
+        sq = sum(c * c for c in x) + sum(c * c for c in y)
+        rsq = sum((a - b) ** 2 for a, b in zip(x, y))
+        sigma, big_t = mp.mpf(sigma), mp.mpf(40)
+
+        def integrand(v):
+            t = mp.exp(v)
+            a, em = mp.exp(-t), -mp.expm1(-2 * t)
+            log_m = (-n / mp.mpf(2) * mp.log(em) - a * rsq / (2 * em)
+                     + a * sq / (2 * (1 + a)))
+            return mp.exp(log_m - sigma * v / 2)
+
+        # below t = r^2/400 the integrand is below e^-100 of its peak
+        cuts = [c for c in (mp.log(rsq / 400), mp.log(rsq / 4))
+                if c < mp.log(big_t)]
+        near = mp.quad(integrand, cuts + [mp.log(big_t)])
+        return float(near + (2 / sigma) * big_t ** (-sigma / 2))
+
+
 def test_batch_agrees_with_scalar():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=40)
-    y = x + rng.uniform(0.01, 4.0, size=40) * rng.choice([-1, 1], size=40)
-    sq = x * x + y * y
-    vals, errs = kernel_batch(0.5, sq, x * y, (x - y) ** 2, 1)
-    for i in range(40):
-        ref = kernel_K(0.5, (x[i],), (y[i],))
-        assert vals[i] == pytest.approx(ref.value, rel=1e-6)
-        assert abs(vals[i] - ref.value) <= errs[i] + ref.error_bound \
-            + 1e-6 * ref.value
+    # one pair at a time through the batch and through kernel_K, against
+    # mpmath, for N = 1 and N = 2
+    for sigma, x, y in [
+        (0.5, (0.0,), (1.0,)),
+        (0.1, (1.3,), (1.35,)),
+        (0.9, (-2.0,), (1.5,)),
+        (1.5, (0.4,), (0.2,)),
+        (0.3, (0.5, -0.2), (1.0, 0.4)),
+        (0.9, (-1.0, 2.0), (0.5, 2.1)),
+        (1.2, (0.0, 0.0), (3.0, -4.0)),
+    ]:
+        x, y = np.asarray(x), np.asarray(y)
+        vals, errs = kernel_batch(sigma, sq=np.array([x @ x + y @ y]),
+                                  rsq=np.array([(x - y) @ (x - y)]),
+                                  n_dim=x.size)
+        ref = _subordination_mp(sigma, x, y)
+        assert abs(vals[0] - ref) <= errs[0]
+        assert errs[0] <= 1e-8 * vals[0]
+        kv = kernel_K(sigma, x, y)
+        assert kv.value == pytest.approx(vals[0], rel=1e-13)
 
 
 def test_batch_rejects_coincident_pairs():
     with pytest.raises(SingularInputError):
-        kernel_batch(0.5, np.array([2.0]), np.array([1.0]), np.array([0.0]), 1)
+        kernel_batch(0.5, sq=np.array([2.0]), rsq=np.array([0.0]), n_dim=1)

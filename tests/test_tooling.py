@@ -1,0 +1,45 @@
+"""Source hygiene: what importing gfp loads, and what gfp imports."""
+
+import ast
+import os
+import subprocess
+import sys
+
+import gfp
+
+SRC = os.path.dirname(os.path.abspath(gfp.__file__))
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate roughly doubles import time and adds ~25 MB of RSS
+    code = ("import sys, gfp, gfp.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def _unused_imports(path):
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package __init__ imports only to re-export
+    unused = {name: _unused_imports(os.path.join(SRC, name))
+              for name in sorted(os.listdir(SRC))
+              if name.endswith(".py") and name != "__init__.py"}
+    assert {k: v for k, v in unused.items() if v} == {}

@@ -8,8 +8,9 @@ The limit functional is the closed-form set function
 computed here exactly when the measures have closed forms and with
 propagated Monte Carlo errors otherwise.  ``sweep`` evaluates
 s * P_s(E; Omega) along a decreasing list of s values and extrapolates
-to s = 0 with the heuristic model a + b s ln s + c s, whose shape
-mirrors the leading defect of s^{s/2} = exp((s/2) ln s).  The module
+to s = 0 with the model a + b s + c s^2: s * P_s is analytic in s
+(splitting the time integral at t = 1 and expanding t^(-s/2) gives
+mu + m_0 s + O(s^2)), so the fit is a truncated Taylor series.  The module
 also exposes the non-additivity defect, a subadditivity checker with a
 non-monotonicity witness, and the divergent interval-union construction
 whose lower-bound series certifies an infinite perimeter.
@@ -80,7 +81,7 @@ class SweepResult:
             "extrapolated_limit": self.extrapolated_limit,
             "uncertainty": self.uncertainty,
             "fit": {
-                "model": "a + b*s*log(s) + c*s",
+                "model": "a + b*s + c*s**2",
                 "a": self.fit_coefficients[0],
                 "b": self.fit_coefficients[1],
                 "c": self.fit_coefficients[2],
@@ -138,13 +139,13 @@ def mu_limit(e: sets.SetExpr, omega: sets.SetExpr = sets.FullSpace(),
 # ---------------------------------------------------------------------------
 
 def _fit_small_s(s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Weighted least squares of v ~ a + b s ln s + c s.
+    """Weighted least squares of v ~ a + b s + c s^2.
 
-    Rows are weighted by 1/s: the model's own remainder is
-    O(s^2 ln^2 s), so the largest-s rows carry the largest model error
-    and must not dominate the fit of the intercept.
+    Rows are weighted by 1/s: the model's own remainder is O(s^3), so
+    the largest-s rows carry the largest model error and must not
+    dominate the fit of the intercept.
     """
-    design = np.column_stack([np.ones_like(s), s * np.log(s), s])
+    design = np.column_stack([np.ones_like(s), s, s * s])
     w = 1.0 / s
     coeffs, *_ = np.linalg.lstsq(design * w[:, None], v * w, rcond=None)
     resid = float(np.max(np.abs(design @ coeffs - v)))

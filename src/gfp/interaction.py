@@ -25,7 +25,8 @@ from numpy.polynomial.legendre import leggauss
 
 from . import sets
 from .errors import BudgetExceededError, OverlapError
-from .measure import gauss_measure, gamma_fn, sample_gaussian, _rng, std_normal_cdf
+from .measure import (_SQRT2, _rng, gamma_fn, gauss_measure, sample_gaussian,
+                      std_normal_cdf)
 from .mehler import kernel_batch, kernel_upper_bound_radial
 from .sets import SetExpr
 
@@ -96,7 +97,22 @@ class PerimeterBreakdown:
 # graded 1-D meshes
 # ---------------------------------------------------------------------------
 
-def _clip_intervals(ivs, r_trunc):
+def _trunc_radius(base, scale, *ivs_lists):
+    """Clipping radius: ``base``, pushed out to 3 standard deviations
+    (``scale``) of the measure past the farthest finite endpoint, so that
+    every interface lies well inside the mesh."""
+    ends = [abs(p) for ivs in ivs_lists for iv in ivs for p in iv
+            if math.isfinite(p)]
+    return max([base] + [p + 3.0 * scale for p in ends])
+
+
+def _clip_intervals(ivs, r_trunc, scale):
+    """Intervals clipped to [-r, r], and the mass they lose under the
+    density e^(-x^2/(2 scale^2))/sqrt(2 pi): gamma for scale 1, lambda
+    for scale sqrt(2)."""
+    def cdf(x):
+        return scale * std_normal_cdf(x / scale)
+
     out = []
     tail_mass = 0.0
     for a, b in ivs:
@@ -104,9 +120,9 @@ def _clip_intervals(ivs, r_trunc):
         if ca < cb:
             out.append((ca, cb))
         if a < -r_trunc:
-            tail_mass += std_normal_cdf(min(b, -r_trunc)) - std_normal_cdf(a)
+            tail_mass += cdf(min(b, -r_trunc)) - cdf(a)
         if b > r_trunc:
-            tail_mass += std_normal_cdf(b) - std_normal_cdf(max(a, r_trunc))
+            tail_mass += cdf(b) - cdf(max(a, r_trunc))
     return out, tail_mass
 
 
@@ -220,16 +236,18 @@ def _tensor_sum(x, wx, y, wy, kernel_fn, budget):
     return float(vals), float(errs)
 
 
-def _quadrature_1d(ivs_a, ivs_b, kernel_fn, density, r_trunc, far_kernel,
-                   budget, sigma, corner_const):
+def _quadrature_1d(ivs_a, ivs_b, kernel_fn, density, r_trunc, scale,
+                   far_kernel, budget, sigma, corner_const):
     """Graded tensor quadrature for disjoint 1-D interval unions.
 
-    On the diagonal near a point c, kernel times densities tends to
-    corner_const e^(-c^2/2) / (2 pi) |x - y|^(-1-sigma); that sizes the
-    correction at endpoints the operands share.
+    Both operands are clipped to [-r_trunc, r_trunc]; the clipped mass
+    of the measure (standard deviation ``scale``) times far_kernel bounds
+    what that drops.  On the diagonal near a point c, kernel times
+    densities tends to corner_const e^(-c^2/2) / (2 pi) |x - y|^(-1-sigma);
+    that sizes the correction at endpoints the operands share.
     """
-    clip_a, tail_a = _clip_intervals(ivs_a, r_trunc)
-    clip_b, tail_b = _clip_intervals(ivs_b, r_trunc)
+    clip_a, tail_a = _clip_intervals(ivs_a, r_trunc, scale)
+    clip_b, tail_b = _clip_intervals(ivs_b, r_trunc, scale)
     if not clip_a or not clip_b:
         return ZERO_ESTIMATE
     cells_a = _mesh_cells(clip_a, clip_b)
@@ -341,18 +359,19 @@ def interaction(
         if pair is None:
             return ZERO_ESTIMATE
         ivs_a, ivs_b = pair
+        r_trunc = _trunc_radius(R_TRUNC_GAUSS, 1.0, ivs_a, ivs_b)
         sep = min(
             (_point_set_distance(p, ivs_b)
              for iv in ivs_a for p in iv if math.isfinite(p)),
-            default=R_TRUNC_GAUSS,
+            default=r_trunc,
         )
         # kernel majorant at the truncation radius bounds the clipped tails
-        far = kernel_upper_bound_radial(s, max(sep, R_TRUNC_GAUSS), 1)
+        far = kernel_upper_bound_radial(s, max(sep, r_trunc), 1)
         # the r -> 0 constant of the kernel, as in kernel_lower_bound
         const = 2.0 ** (s + 0.5) * gamma_fn((s + 1.0) / 2.0)
         return _quadrature_1d(
             ivs_a, ivs_b, _subordinated_kernel_1d(s),
-            _gauss_density_1d, R_TRUNC_GAUSS, far, budget, s, const,
+            _gauss_density_1d, r_trunc, 1.0, far, budget, s, const,
         )
 
     # an Empty operand has closed-form mass 0: no probe, no budget charge
@@ -471,11 +490,12 @@ def j_lambda(
         if pair is None:
             parts.append(ZERO_ESTIMATE)
             continue
-        far = max(1.0, R_TRUNC_LAMBDA) ** (-(1.0 + s)) * 4.0
+        r_trunc = _trunc_radius(R_TRUNC_LAMBDA, _SQRT2, *pair)
+        far = r_trunc ** (-(1.0 + s)) * 4.0
         parts.append(
             _quadrature_1d(
                 *pair, _euclidean_kernel_1d(1.0 + s),
-                _lambda_density_1d, R_TRUNC_LAMBDA, far, budget, s, 1.0,
+                _lambda_density_1d, r_trunc, _SQRT2, far, budget, s, 1.0,
             )
         )
     return PerimeterBreakdown(*parts)

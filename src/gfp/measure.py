@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from . import sets
 from .errors import RestrictionMassError
@@ -29,6 +28,49 @@ def std_normal_cdf(t: float) -> float:
 
 def std_normal_pdf(t: float) -> float:
     return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+
+def _chi2_ball_mass(n_dim: int, radius: float) -> float:
+    """P(chi^2_N <= r^2), the regularised incomplete gamma P(N/2, r^2/2).
+
+    Positive terms only.  For y = r^2/2 < a + 1 (a = N/2) the series
+    e^-y sum_k y^(a+k) / Gamma(a+k+1) keeps full relative accuracy for
+    small balls; beyond, 1 - Q with the closed upper tail
+    Q(a, y) = Q(a0, y) + e^-y sum_{a0 <= b < a} y^b / Gamma(b+1),
+    Q(1/2, y) = erfc(sqrt(y)) and Q(0, y) = 0, so P reaches 1 without
+    underflow.
+    """
+    a, y = n_dim / 2.0, radius * radius / 2.0
+    if y == 0.0:
+        return 0.0
+    if y < a + 1.0:
+        term = math.exp(a * math.log(y) - y - math.lgamma(a + 1.0))
+        total, k = term, 1
+        while term > 1e-17 * total:
+            term *= y / (a + k)
+            total += term
+            k += 1
+        return total
+    b = a % 1.0  # 1/2 for odd N, 0 for even N
+    q = math.erfc(math.sqrt(y)) if b else 0.0
+    while b < a:
+        q += math.exp(b * math.log(y) - y - math.lgamma(b + 1.0))
+        b += 1.0
+    return 1.0 - q
+
+
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the 1-D gamma: E f(X) ~ weights @ f(nodes).
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
+    the probabilists' Hermite recurrence (zero diagonal, off-diagonal
+    sqrt(k)), and each weight is the squared first component of its
+    unit eigenvector, since gamma has mass 1.  Exact for polynomials of
+    degree < 2n; stable at every n, unlike the root-finding rules.
+    """
+    off = np.sqrt(np.arange(1.0, n))
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, vecs[0] ** 2
 
 
 def gamma_fn(z: float) -> float:
@@ -121,7 +163,7 @@ def _closed_form(expr: SetExpr, dim: int) -> float | None:
         if any(c != 0.0 for c in expr.center):
             return None  # off-center: no elementary form, route to Monte Carlo
         # |X|^2 is chi-square with N degrees of freedom
-        return float(gammainc(dim / 2.0, expr.radius ** 2 / 2.0))
+        return _chi2_ball_mass(dim, expr.radius)
     if isinstance(expr, sets.Complement):
         inner = _closed_form(expr.inner, dim)
         return None if inner is None else 1.0 - inner

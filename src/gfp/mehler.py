@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .errors import SingularInputError, ToleranceError
+from .measure import _gauss_rule
 
 _LOG_SAFE_MIN = -690.0  # exp() underflow guard
 
@@ -79,9 +79,7 @@ def semigroup_mass(t: float, x, order: int = 160) -> float:
         raise ValueError("t must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n_dim = x.size
-    z, w = hermgauss(order)
-    nodes = math.sqrt(2.0) * z
-    weights = w / math.sqrt(math.pi)
+    nodes, weights = _gauss_rule(order)
     grids = np.meshgrid(*([nodes] * n_dim), indexing="ij")
     y = np.stack([g.ravel() for g in grids], axis=-1)
     wprod = np.ones(y.shape[0])

@@ -23,11 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermitenorm
 
 from . import sets
 from .errors import DimensionMismatchError
-from .measure import abs_gamma_neg, gamma_fn, std_normal_pdf
+from .measure import (_gauss_rule, abs_gamma_neg, gamma_fn, std_normal_cdf,
+                      std_normal_pdf)
 
 _DEGREE_CAP = 200          # per-coordinate cap for pointwise evaluation
 _QUAD_EXPAND_CAP = 500     # beyond this, quadrature expansion is refused
@@ -142,8 +142,6 @@ def _indicator_coefficients(ivs, degree: int) -> np.ndarray:
     c_n = sum_i [He_{n-1}(a_i) phi(a_i) - He_{n-1}(b_i) phi(b_i)] / sqrt(n)
     for n >= 1; c_0 is the Gaussian mass.  Infinite endpoints contribute 0.
     """
-    from .measure import std_normal_cdf
-
     coeffs = np.zeros(degree + 1)
     for a, b in ivs:
         coeffs[0] += std_normal_cdf(b) - std_normal_cdf(a)
@@ -182,8 +180,7 @@ def expand(u, degree: int, dim: int = 1) -> HermiteExpansion:
             f"quadrature expansion refused above degree {_QUAD_EXPAND_CAP}; "
             "oscillatory integrands make large-degree coefficients silently wrong"
         )
-    nodes, w = roots_hermitenorm(max(2 * degree + 1, 64))
-    weights = w / math.sqrt(2.0 * math.pi)
+    nodes, weights = _gauss_rule(max(2 * degree + 1, 64))
     vals = np.asarray(u(nodes.reshape(-1, 1)), dtype=float).ravel()
     table = np.stack([_normalized_hermite_series(xi, degree) for xi in nodes])
     coeffs = table.T @ (weights * vals)
@@ -207,9 +204,17 @@ def spectral_seminorm_sq(exp: HermiteExpansion, s: float) -> SpectralSeminorm:
     """Squared seminorm from the eigenvalue series.
 
     value = (2 Gamma(1-s) / s) sum_{|alpha|>=1} |alpha|^s c_alpha^2.
-    The truncation term scales the Parseval defect by the first missing
-    eigenvalue power; exact in the s -> 0 limit, heuristic otherwise
-    (a genuine bound needs a coefficient decay certificate).
+    The truncation term estimates the missing (2 Gamma(1-s) / s)
+    sum_{n>N} n^s c_n^2 from the Parseval defect R_N = sum_{n>N} c_n^2.
+    For s < 1/2 it assumes the decay of an indicator, c_n^2 ~ n^(-3/2):
+    then R_n ~ n^(-1/2), summation by parts gives the tail as
+    R_N (N+1)^s / (1 - 2s) to leading order, and the factor
+    1 + (N+1)^(-1/2) covers the next order (the excess over the leading
+    term stays below 0.46 (N+1)^(-1/2) on half-lines, intervals and
+    complements).  For s >= 1/2 the indicator seminorm is infinite and
+    the term is R_N (N+1)^s, the first missing eigenvalue power, a lower
+    estimate.  Heuristic either way: a genuine bound needs a coefficient
+    decay certificate.
     """
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0,1), got {s}")
@@ -217,7 +222,10 @@ def spectral_seminorm_sq(exp: HermiteExpansion, s: float) -> SpectralSeminorm:
     pos = deg >= 1
     series = float(np.sum(deg[pos] ** float(s) * exp.coeffs[pos] ** 2))
     pref = 2.0 * gamma_fn(1.0 - s) / s
-    trunc = pref * exp.tail_bound * float(exp.degree + 1) ** s
+    first = float(exp.degree + 1)
+    trunc = pref * exp.tail_bound * first ** s
+    if s < 0.5:
+        trunc *= (1.0 + first ** -0.5) / (1.0 - 2.0 * s)
     return SpectralSeminorm(s, pref * series, trunc)
 
 

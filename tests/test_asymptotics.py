@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gfp import sets
 from gfp.asymptotics import (
     SweepResult,
+    _fit_small_s,
     additivity_defect,
     beta_sequence,
     check_subadditivity,
@@ -88,6 +89,19 @@ def test_sweep_trivial_set_is_flat_zero():
 def test_sweep_rows_strictly_decreasing_s():
     res = sweep(sets.Empty(), s_list=[0.125, 0.5, 0.25, 0.0625], dim=1)
     assert np.all(np.diff(res.s_values) < 0)
+
+
+def test_fit_recovers_the_limit_from_exact_rows():
+    # s P_s = mu + m_0 s + O(s^2) has no s ln s term: on exact half-line
+    # rows (mu = 1/2) over four octaves of s the quadratic fit is within
+    # 7e-4 of the limit, and the fit residual covers that
+    from test_interaction import _halfline_s_perimeter_mp
+
+    s = np.array([0.5, 0.125, 0.03125, 0.0078125])
+    rows = np.array([_halfline_s_perimeter_mp(x) for x in s])
+    coeffs, resid = _fit_small_s(s, rows)
+    assert coeffs[0] == pytest.approx(0.5, rel=1.5e-3)
+    assert abs(coeffs[0] - 0.5) <= resid
 
 
 def test_sweep_serialization_roundtrip():

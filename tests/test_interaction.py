@@ -16,6 +16,7 @@ from gfp.interaction import (
     seminorm_sq_direct,
 )
 from gfp.measure import gamma_fn, gauss_measure
+from gfp.spectral import expand, spectral_seminorm_sq
 
 HALF = sets.IntervalUnion(intervals=((0.0, math.inf),))
 UNIT = sets.IntervalUnion(intervals=((0.0, 1.0),))
@@ -174,6 +175,37 @@ def test_perimeter_halfspace_reference(s):
     assert abs(p.value - ref / s) <= p.error
 
 
+def _far_halfline_perimeter_mp(c, s):
+    """P_s((c, inf); R) by mpmath through Owen's T, for c > 0.
+
+    F(t) = P(X > c, Y < c) = 2 T(c, sqrt(tanh(t/2))) with
+    T(h, a) = int_0^a e^(-h^2 (1 + x^2)/2) / (1 + x^2) dx / 2pi.  The x
+    range of F(t) is tanh(t/2) > x^2, i.e. t > 2 artanh(x^2), so the
+    time integral is done in closed form and leaves
+    (2/(pi s)) int_0^1 e^(-c^2 (1 + x^2)/2) / (1 + x^2)
+    (2 artanh(x^2))^(-s/2) dx.
+    """
+    with mp.workdps(25):
+        c, s = mp.mpf(c), mp.mpf(s)
+
+        def integrand(x):
+            return (mp.exp(-c * c * (1 + x * x) / 2) / (1 + x * x)
+                    * (2 * mp.atanh(x * x)) ** (-s / 2))
+
+        return float(2 / (mp.pi * s) * mp.quad(integrand, [0, 0.5, 1]))
+
+
+@pytest.mark.parametrize("c", [8.5, 9.0])
+def test_perimeter_of_a_far_halfline(c):
+    # an interface beyond the default clipping radius 8.6 must still be
+    # meshed; clipping it away leaves 0 +- 0
+    e = sets.IntervalUnion(intervals=((c, math.inf),))
+    p = perimeter(e, sets.FullSpace(), 0.5, dim=1).total
+    ref = _far_halfline_perimeter_mp(c, 0.5)   # 1.97059173e-18 at c = 9
+    assert abs(p.value - ref) <= p.error
+    assert p.value == pytest.approx(ref, rel=1e-7)
+
+
 def test_perimeter_skips_empty_pieces_in_higher_dimension():
     # over R^2 two of the three pieces have an empty operand: they must
     # cost nothing, so the one real piece gets the whole budget
@@ -200,7 +232,7 @@ def test_j_lambda_positive_and_finite():
     assert est.value > 0
 
 
-def _halfline_j_lambda_mp(c, s):
+def _halfline_j_lambda_mp(c, s, dps=20):
     """J^lambda_s((c, inf); R) by mpmath, independent of the engine.
 
     With r = y - x and x = c - r theta the pair integral is
@@ -209,7 +241,7 @@ def _halfline_j_lambda_mp(c, s):
     -(c + r (1/2 - theta))^2 / 2 - r^2 / 8, so the theta integral is
     e^(-r^2/8) (Phi(c + r/2) - Phi(c - r/2)) / (r sqrt(2 pi)).
     """
-    with mp.workdps(20):
+    with mp.workdps(dps):
         c, s = mp.mpf(c), mp.mpf(s)
 
         def integrand(r):
@@ -226,6 +258,17 @@ def test_j_lambda_halfline_reference(s):
     e = sets.IntervalUnion(intervals=((c, math.inf),))
     est = j_lambda(e, sets.FullSpace(), s, dim=1).total
     assert abs(est.value - _halfline_j_lambda_mp(c, s)) <= est.error
+
+
+def test_j_lambda_of_a_far_halfline():
+    # c = 12 lies beyond lambda's default clipping radius 12.2 less three
+    # standard deviations; the reference needs 40 digits, because
+    # Phi(c + r/2) - Phi(c - r/2) is ~1e-33 against values near 1
+    c = 12.0
+    e = sets.IntervalUnion(intervals=((c, math.inf),))
+    est = j_lambda(e, sets.FullSpace(), 0.5, dim=1).total
+    ref = _halfline_j_lambda_mp(c, 0.5, dps=40)   # 5.2114355302688e-19
+    assert abs(est.value - ref) <= est.error
 
 
 def test_j_lambda_rejects_higher_dimension():
@@ -254,6 +297,16 @@ def test_seminorm_of_indicator_diverges_from_one_half(s):
 def test_seminorm_of_indicator_below_one_half():
     est = seminorm_sq_direct(HALF, 0.45)
     assert math.isfinite(est.value) and est.value > 0
+
+
+@pytest.mark.parametrize("degree", [100, 10_000])
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.45])
+def test_spectral_truncation_covers_the_halfline_seminorm(s, degree):
+    # [chi_E]_s^2 = 2 L_{2s}(E, E^c); the truncated series falls short of
+    # it, and the reported truncation must cover the shortfall
+    ref = 2.0 * _halfline_s_perimeter_mp(2.0 * s) / (2.0 * s)
+    sn = spectral_seminorm_sq(expand(HALF, degree), s)
+    assert 0.0 < ref - sn.value <= sn.truncation
 
 
 def test_seminorm_constant_function_vanishes():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from gfp.errors import RestrictionMassError
 from gfp.measure import (
     GaussianMeasure,
     LambdaMeasure,
+    _chi2_ball_mass,
+    _gauss_rule,
     abs_gamma_neg,
     gamma_fn,
     gauss_measure,
@@ -73,6 +76,27 @@ def test_centered_ball_chi_square():
     e = sets.Ball(center=(0.0, 0.0), radius=1.5)
     assert gauss_measure(e).value == pytest.approx(
         1.0 - math.exp(-1.5 ** 2 / 2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_dim", range(1, 8))
+def test_chi2_ball_mass_matches_mpmath(n_dim):
+    # gamma(B_r) = P(N/2, r^2/2), the regularised lower incomplete gamma;
+    # relative accuracy is kept down to tiny radii and up to P = 1
+    for r in np.geomspace(1e-3, 40.0, 25):
+        ref = float(mp.gammainc(mp.mpf(n_dim) / 2, 0, mp.mpf(r) ** 2 / 2,
+                                regularized=True))
+        assert _chi2_ball_mass(n_dim, r) == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [64, 201, 1001])
+def test_gauss_rule_moments(n):
+    # E cos(kX) = e^(-k^2/2) and E X^4 = 3 under the standard Gaussian
+    nodes, weights = _gauss_rule(n)
+    assert np.all(np.diff(nodes) > 0) and np.all(weights >= 0)
+    for k in (1.0, 2.0, 3.0):
+        assert weights @ np.cos(k * nodes) == pytest.approx(
+            math.exp(-k * k / 2.0), abs=1e-14)
+    assert weights @ nodes ** 4 == pytest.approx(3.0, rel=1e-14)
 
 
 def test_complement_rule_exact():

@@ -10,15 +10,33 @@ import gfp
 SRC = os.path.dirname(os.path.abspath(gfp.__file__))
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate roughly doubles import time and adds ~25 MB of RSS
+def test_import_leaves_scipy_unloaded():
+    # numpy is gfp's only dependency; scipy.special alone would add about
+    # two thirds of the import time and ~25 MB of RSS
     code = ("import sys, gfp, gfp.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120,
                           check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _imported_modules(path):
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):   # every scope, so lazy imports count too
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_no_module_imports_scipy():
+    hits = {name: sorted(m for m in _imported_modules(os.path.join(SRC, name))
+                         if m.split(".")[0] == "scipy")
+            for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
+    assert {k: v for k, v in hits.items() if v} == {}
 
 
 def _unused_imports(path):

@@ -27,7 +27,9 @@ import numpy as np
 
 from . import sets
 from .errors import OverlapError
-from .interaction import Budget, InteractionEstimate, _three_pieces, perimeter
+from .interaction import (Budget, InteractionEstimate, PerimeterBreakdown,
+                          _operand_dim, _quadrature_1d, _three_pieces,
+                          perimeter)
 from .measure import MeasureEstimate, gauss_measure
 
 DEFAULT_S_LIST = tuple(2.0 ** -k for k in range(1, 9))
@@ -162,14 +164,19 @@ def sweep(e: sets.SetExpr, omega: sets.SetExpr = sets.FullSpace(),
                          "the 3-parameter extrapolation model")
     if not (np.all(s_arr > 0) and np.all(s_arr < 1)):
         raise ValueError("s values must lie in (0,1)")
-    vals, errs, methods = [], [], []
-    for s in s_arr:
-        est = perimeter(e, omega, s, budget=budget, seed=seed, dim=dim).total
-        vals.append(s * est.value)
-        errs.append(s * est.error)
-        methods.append(est.method)
-    vals = np.array(vals)
-    errs = np.array(errs)
+    pieces = _three_pieces(e, omega)
+    if all(_operand_dim(pa, pb, dim) == 1 for pa, pb in pieces):
+        # one kernel pass per piece serves every s
+        budget = budget if budget is not None else Budget()
+        rows = zip(*(_quadrature_1d(pa, pb, s_arr, budget)
+                     for pa, pb in pieces))
+        totals = [PerimeterBreakdown(*row).total for row in rows]
+    else:
+        totals = [perimeter(e, omega, s, budget=budget, seed=seed,
+                            dim=dim).total for s in s_arr]
+    vals = s_arr * np.array([est.value for est in totals])
+    errs = s_arr * np.array([est.error for est in totals])
+    methods = [est.method for est in totals]
     coeffs, resid = _fit_small_s(s_arr, vals)
     # Error growth as s shrinks signals a perimeter that is not finite:
     # for finite perimeter the rows stay bounded while a divergent set's

@@ -27,7 +27,8 @@ from . import sets
 from .errors import BudgetExceededError, OverlapError
 from .measure import (_SQRT2, _rng, gamma_fn, gauss_measure, sample_gaussian,
                       std_normal_cdf)
-from .mehler import kernel_batch, kernel_upper_bound_radial
+from .mehler import (_BLOCK, kernel_batch, kernel_sums,
+                     kernel_upper_bound_radial)
 from .sets import SetExpr
 
 R_TRUNC_GAUSS = 8.6    # gamma mass beyond ~ 4e-18
@@ -121,8 +122,8 @@ def _clip_intervals(ivs, r_trunc, scale):
             out.append((ca, cb))
         if a < -r_trunc:
             tail_mass += cdf(min(b, -r_trunc)) - cdf(a)
-        if b > r_trunc:
-            tail_mass += cdf(b) - cdf(max(a, r_trunc))
+        if b > r_trunc:  # mirrored: cdf(b) - cdf(r) is 0.0 in float64
+            tail_mass += cdf(-max(a, r_trunc)) - cdf(-b)
     return out, tail_mass
 
 
@@ -226,64 +227,86 @@ def _lambda_density_1d(x):
     return np.exp(-0.25 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def _tensor_sum(x, wx, y, wy, kernel_fn, budget):
-    budget.charge(x.size * y.size)
-    kx = np.repeat(x, y.size)
-    ky = np.tile(y, x.size)
-    kv, ke = kernel_fn(kx, ky)
-    vals = (kv * np.repeat(wx, y.size) * np.tile(wy, x.size)).sum()
-    errs = (ke * np.repeat(wx, y.size) * np.tile(wy, x.size)).sum()
-    return float(vals), float(errs)
+def _grid_pairs(xa, wa, xb, wb):
+    """Pairs of the tensor grid xa x xb by flat index: (x^2 + y^2,
+    (x - y)^2, weight), computed per block, never for the whole grid."""
+    def pairs(idx):
+        i, k = np.divmod(idx, xb.size)
+        x, y = xa[i], xb[k]
+        return x * x + y * y, (x - y) ** 2, wa[i] * wb[k]
+    return pairs
 
 
-def _quadrature_1d(ivs_a, ivs_b, kernel_fn, density, r_trunc, scale,
-                   far_kernel, budget, sigma, corner_const):
-    """Graded tensor quadrature for disjoint 1-D interval unions.
+def _euclidean_sums(s_values, n_pairs, pairs):
+    """Weighted sums of |x - y|^(-1-s) and of their rounding bound, per s."""
+    value = np.zeros(len(s_values))
+    for lo in range(0, n_pairs, _BLOCK):
+        _, rsq, w = pairs(np.arange(lo, min(lo + _BLOCK, n_pairs)))
+        value += [(rsq ** (-0.5 * (1.0 + s)) * w).sum() for s in s_values]
+    return value, value * 1e-14
 
-    Both operands are clipped to [-r_trunc, r_trunc]; the clipped mass
-    of the measure (standard deviation ``scale``) times far_kernel bounds
-    what that drops.  On the diagonal near a point c, kernel times
-    densities tends to corner_const e^(-c^2/2) / (2 pi) |x - y|^(-1-sigma);
-    that sizes the correction at endpoints the operands share.
+
+def _quadrature_1d(a: SetExpr, b: SetExpr, s_values, budget, lam=False):
+    """Graded tensor quadrature for disjoint 1-D operands.
+
+    One estimate per s: each tensor grid is summed for every s in one
+    pass.  The kernel is the subordinated one under gamma or, with
+    ``lam``, J^lambda's |x - y|^(-1-s) under lambda.  Both operands are
+    clipped to [-r_trunc, r_trunc]; the clipped mass of the measure
+    times a kernel majorant at the clipping radius bounds what that
+    drops.  On the diagonal near a point c, kernel times densities tends
+    to const e^(-c^2/2) / (2 pi) |x - y|^(-1-s); that sizes the
+    correction at endpoints the operands share.
     """
+    s_values = [float(s) for s in s_values]
+    pair = _intervals_1d(a, b)
+    if pair is None:
+        return [ZERO_ESTIMATE] * len(s_values)
+    ivs_a, ivs_b = pair
+    if lam:
+        density, scale, base = _lambda_density_1d, _SQRT2, R_TRUNC_LAMBDA
+    else:
+        density, scale, base = _gauss_density_1d, 1.0, R_TRUNC_GAUSS
+    r_trunc = _trunc_radius(base, scale, ivs_a, ivs_b)
     clip_a, tail_a = _clip_intervals(ivs_a, r_trunc, scale)
     clip_b, tail_b = _clip_intervals(ivs_b, r_trunc, scale)
     if not clip_a or not clip_b:
-        return ZERO_ESTIMATE
+        return [ZERO_ESTIMATE] * len(s_values)
     cells_a = _mesh_cells(clip_a, clip_b)
     cells_b = _mesh_cells(clip_b, clip_a)
-    xa, wa = _mesh_nodes(cells_a, density, _GL_ORDER)
-    xb, wb = _mesh_nodes(cells_b, density, _GL_ORDER)
-    value, err_kernel = _tensor_sum(xa, wa, xb, wb, kernel_fn, budget)
+    grids = []
+    for order in (_GL_ORDER, 4):
+        xa, wa = _mesh_nodes(cells_a, density, order)
+        xb, wb = _mesh_nodes(cells_b, density, order)
+        grids.append((xa.size * xb.size, _grid_pairs(xa, wa, xb, wb)))
+    budget.charge(len(s_values) * sum(n for n, _ in grids))
+    if lam:
+        far = [r_trunc ** (-(1.0 + s)) * 4.0 for s in s_values]
+        const = [1.0] * len(s_values)
+        (value, err_kernel), (v4, _) = (_euclidean_sums(s_values, *g)
+                                        for g in grids)
+    else:
+        sep = min(
+            (_point_set_distance(p, ivs_b)
+             for iv in ivs_a for p in iv if math.isfinite(p)),
+            default=r_trunc,
+        )
+        # kernel majorant at the truncation radius bounds the clipped tails
+        far = kernel_upper_bound_radial(np.array(s_values),
+                                        max(sep, r_trunc), 1)
+        # the r -> 0 constant of the kernel, as in kernel_lower_bound
+        const = [2.0 ** (s + 0.5) * gamma_fn((s + 1.0) / 2.0)
+                 for s in s_values]
+        (value, err_kernel), (v4, _) = (
+            kernel_sums(s_values, n_pairs=n, pairs=pairs, n_dim=1)
+            for n, pairs in grids)
     # mesh residual: same cells, lower order; it also covers what the
     # corner correction leaves behind
-    xa4, wa4 = _mesh_nodes(cells_a, density, 4)
-    xb4, wb4 = _mesh_nodes(cells_b, density, 4)
-    v4, _ = _tensor_sum(xa4, wa4, xb4, wb4, kernel_fn, budget)
-    err_mesh = abs(value - v4)
-    err_trunc = (tail_a + tail_b) * far_kernel
-    value += _corner_correction(cells_a, cells_b, sigma, corner_const)
-    return InteractionEstimate(
-        value, err_kernel + err_mesh + err_trunc,
-        "graded-quadrature-1d", xa.size * xb.size,
-    )
-
-
-# ---------------------------------------------------------------------------
-# kernels
-# ---------------------------------------------------------------------------
-
-def _subordinated_kernel_1d(sigma):
-    def kernel_fn(x, y):
-        return kernel_batch(sigma, sq=x * x + y * y, rsq=(x - y) ** 2, n_dim=1)
-    return kernel_fn
-
-
-def _euclidean_kernel_1d(expo):
-    def kernel_fn(x, y):
-        k = np.abs(x - y) ** (-expo)
-        return k, k * 1e-14
-    return kernel_fn
+    err = err_kernel + np.abs(value - v4) + (tail_a + tail_b) * np.asarray(far)
+    return [InteractionEstimate(
+        float(v) + _corner_correction(cells_a, cells_b, s, c), float(e),
+        "graded-quadrature-1d", grids[0][0],
+    ) for v, e, s, c in zip(value, err, s_values, const)]
 
 
 # ---------------------------------------------------------------------------
@@ -355,24 +378,7 @@ def interaction(
     n_dim = _operand_dim(a, b, dim)
 
     if n_dim == 1:
-        pair = _intervals_1d(a, b)
-        if pair is None:
-            return ZERO_ESTIMATE
-        ivs_a, ivs_b = pair
-        r_trunc = _trunc_radius(R_TRUNC_GAUSS, 1.0, ivs_a, ivs_b)
-        sep = min(
-            (_point_set_distance(p, ivs_b)
-             for iv in ivs_a for p in iv if math.isfinite(p)),
-            default=r_trunc,
-        )
-        # kernel majorant at the truncation radius bounds the clipped tails
-        far = kernel_upper_bound_radial(s, max(sep, r_trunc), 1)
-        # the r -> 0 constant of the kernel, as in kernel_lower_bound
-        const = 2.0 ** (s + 0.5) * gamma_fn((s + 1.0) / 2.0)
-        return _quadrature_1d(
-            ivs_a, ivs_b, _subordinated_kernel_1d(s),
-            _gauss_density_1d, r_trunc, 1.0, far, budget, s, const,
-        )
+        return _quadrature_1d(a, b, (s,), budget)[0]
 
     # an Empty operand has closed-form mass 0: no probe, no budget charge
     mass_a = gauss_measure(a, dim=n_dim, seed=seed ^ 0xA)
@@ -486,18 +492,7 @@ def j_lambda(
     for pa, pb in _three_pieces(e, omega):
         if _operand_dim(pa, pb, dim) != 1:
             raise NotImplementedError("j_lambda is implemented for N = 1")
-        pair = _intervals_1d(pa, pb)
-        if pair is None:
-            parts.append(ZERO_ESTIMATE)
-            continue
-        r_trunc = _trunc_radius(R_TRUNC_LAMBDA, _SQRT2, *pair)
-        far = r_trunc ** (-(1.0 + s)) * 4.0
-        parts.append(
-            _quadrature_1d(
-                *pair, _euclidean_kernel_1d(1.0 + s),
-                _lambda_density_1d, r_trunc, _SQRT2, far, budget, s, 1.0,
-            )
-        )
+        parts.extend(_quadrature_1d(pa, pb, (s,), budget, lam=True))
     return PerimeterBreakdown(*parts)
 
 

@@ -8,13 +8,15 @@ The transition kernel relative to the Gaussian measure is
 and the jump kernel of the fractional operator is the subordination
 integral K_sigma(x,y) = int_0^inf M_t(x,y) t^{-sigma/2-1} dt.
 
-Evaluation strategy: one routine, kernel_batch, serves both a single
-pair and the interaction engine's batches.  Log-time substitution
-removes the Gauss-Weierstrass spike at t -> 0+ (the integrand becomes a
-smooth bump in v = log t), which a fixed-step Simpson rule integrates up
-to t = T with its half-grid difference as error estimate; the far tail
-t > T is analytic up to the certified deviation of M_t from 1, which is
-folded into the reported error bound.
+Evaluation strategy: one routine, _subordinate, serves a single pair,
+the batches of kernel_batch and the weighted sums of kernel_sums, for
+one index sigma or many: the sigma-free part of the integrand is
+computed once per time node and shared by every index.  Log-time
+substitution removes the Gauss-Weierstrass spike at t -> 0+ (the
+integrand becomes a smooth bump in v = log t), which a fixed-step
+Simpson rule integrates up to t = T with its half-grid difference as
+error estimate; the far tail t > T is analytic up to the certified
+deviation of M_t from 1, which is folded into the reported error bound.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ _LOG_SAFE_MIN = -690.0  # exp() underflow guard
 # _LOG_STEP up to _TAIL_TIME, analytic tail beyond.
 _TAIL_TIME = 40.0
 _LOG_STEP = 0.01
+_BLOCK = 32768  # pairs per block wherever no per-pair array is kept
 REL_TOL = 1e-8  # kernel_K's default: a larger relative error bound raises
 
 
@@ -110,22 +113,20 @@ def _t_floor(rsq: float, sq: float, n_dim: int) -> float:
     return min(t0, 0.5)
 
 
-def _tail_term(sigma: float, rsq: np.ndarray, sq: np.ndarray, n_dim: int):
-    """Analytic tail int_T^inf t^{-sigma/2-1} dt and, per pair, its |M_t - 1| defect.
+def _tail_defect(rsq: np.ndarray, sq: np.ndarray, n_dim: int) -> np.ndarray:
+    """Per pair, a bound on |M_t - 1| over the analytic tail t > T.
 
     The deviation is certified per pair by probing t = T, 2T, 4T and
     checking monotone decay (it always holds at T >= 40 for desk-scale
     points; a failed check inflates the bound instead of trusting it).
     """
-    bigt = _TAIL_TIME
-    tail = (2.0 / sigma) * bigt ** (-sigma / 2.0)
     probes = []
-    for tt in (bigt, 2.0 * bigt, 4.0 * bigt):
+    for tt in (_TAIL_TIME, 2.0 * _TAIL_TIME, 4.0 * _TAIL_TIME):
         lp, c_r, c_s = _mehler_coeffs(tt, n_dim)
         probes.append(np.abs(np.expm1(lp + c_r * rsq + c_s * sq)))
     eps = np.max(probes, axis=0)
     monotone = (probes[0] >= probes[1]) & (probes[1] >= probes[2])
-    return tail, tail * np.where(monotone, eps, 10.0 * eps)
+    return np.where(monotone, eps, 10.0 * eps)
 
 
 def _simpson_weights(n_nodes: int, h: float) -> np.ndarray:
@@ -133,6 +134,73 @@ def _simpson_weights(n_nodes: int, h: float) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * (h / 3.0)
+
+
+def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int, block: int):
+    """The one subordination rule, for every index in ``sigmas`` at once.
+
+    ``pairs(idx)`` returns (|x|^2+|y|^2, |x-y|^2, weight) of the pairs
+    with indices ``idx``; the weight is only handed back.  Pairs are
+    banded by separation so that the log-time grid of each band only
+    spans the region where its integrands live, and each band is worked
+    through in blocks of at most ``block`` pairs.  Per time node the
+    sigma-free exponent and its exp are computed once and shared by every
+    index; the half-grid rule reads even nodes only.  Yields (idx,
+    weight, values, errors) per block, values and errors of shape
+    (len(sigmas), len(idx)); the error combines the Simpson half-grid
+    comparison with the analytic-tail defect.
+    """
+    if not n_pairs:
+        return
+    band = np.empty(n_pairs, dtype=np.int16)
+    for lo in range(0, n_pairs, _BLOCK):
+        idx = np.arange(lo, min(lo + _BLOCK, n_pairs))
+        rsq = pairs(idx)[1]
+        if np.any(rsq <= 0.0):
+            raise SingularInputError(
+                "the subordinated kernel is singular at x = y")
+        band[idx] = np.floor(np.log2(rsq) / 4.0)  # factor-16 bands in r^2
+    tail = (2.0 / sigmas) * _TAIL_TIME ** (-0.5 * sigmas)
+    vmax = math.log(_TAIL_TIME)
+    for b in range(band.min(), band.max() + 1):
+        members = np.flatnonzero(band == b)
+        blocks = [members[lo:lo + block]
+                  for lo in range(0, members.size, block)]
+        if not blocks:
+            continue
+        t0 = _t_floor(min(float(pairs(idx)[1].min()) for idx in blocks),
+                      max(float(pairs(idx)[0].max()) for idx in blocks), n_dim)
+        vmin = math.log(t0)
+        n_panels = max(8, int(math.ceil((vmax - vmin) / _LOG_STEP)))
+        n_panels += (-n_panels) % 4  # multiple of 4: half grid is Simpson too
+        vs = np.linspace(vmin, vmax, n_panels + 1)
+        h = vs[1] - vs[0]
+        # per node and index: the Simpson weight times t^(-sigma/2)
+        power = np.exp(-0.5 * np.multiply.outer(vs, sigmas))
+        w_fine = _simpson_weights(n_panels + 1, h)[:, None] * power
+        w_half = (_simpson_weights(n_panels // 2 + 1, 2.0 * h)[:, None]
+                  * power[::2])
+        coeffs = [_mehler_coeffs(math.exp(v), n_dim) for v in vs]
+        for idx in blocks:
+            sq, rsq, weight = pairs(idx)
+            fine = np.zeros((sigmas.size, idx.size))
+            half = np.zeros_like(fine)
+            scratch = np.empty_like(fine)
+            g = np.empty_like(rsq)
+            term = np.empty_like(rsq)
+            for j, (lp, c_r, c_s) in enumerate(coeffs):
+                np.multiply(rsq, c_r, out=g)
+                g += lp
+                g += np.multiply(sq, c_s, out=term)
+                np.exp(np.maximum(g, _LOG_SAFE_MIN, out=g), out=g)
+                fine += np.multiply.outer(w_fine[j], g, out=scratch)
+                if j % 2 == 0:
+                    half += np.multiply.outer(w_half[j // 2], g, out=scratch)
+            values = fine + tail[:, None]
+            errors = (np.abs(fine - half) / 15.0
+                      + np.multiply.outer(tail, _tail_defect(rsq, sq, n_dim)))
+            errors += values * 1e-13  # neglected sliver below the time floor
+            yield idx, weight, values, errors
 
 
 def kernel_batch(
@@ -144,49 +212,40 @@ def kernel_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """K_sigma for many pairs at once, given |x|^2+|y|^2 and |x-y|^2.
 
-    Pairs are bucketed by separation so the log-time grid of each bucket
-    only spans the region where its integrands live.  Returns (values,
-    error bounds); the error combines the Simpson half-grid comparison
-    with the analytic-tail defect.
+    Returns (values, error bounds), one per pair.  The output holds
+    every pair anyway, so each band is one block.
     """
     sq = np.asarray(sq, dtype=float).ravel()
     rsq = np.asarray(rsq, dtype=float).ravel()
-    if np.any(rsq <= 0.0):
-        raise SingularInputError("the subordinated kernel is singular at x = y")
     out = np.empty_like(rsq)
     err = np.empty_like(rsq)
-    tail, tail_err = _tail_term(sigma, rsq, sq, n_dim)
-
-    vmax = math.log(_TAIL_TIME)
-    buckets = np.floor(np.log2(rsq) / 4.0).astype(int)  # factor-16 bands in r^2
-    for b in np.unique(buckets):
-        idx = np.nonzero(buckets == b)[0]
-        t0 = _t_floor(float(rsq[idx].min()), float(sq[idx].max()), n_dim)
-        vmin = math.log(t0)
-        n_panels = max(8, int(math.ceil((vmax - vmin) / _LOG_STEP)))
-        n_panels += (-n_panels) % 4  # multiple of 4: half grid is Simpson too
-        vs = np.linspace(vmin, vmax, n_panels + 1)
-        h = vs[1] - vs[0]
-        w_fine = _simpson_weights(n_panels + 1, h)
-        w_half = np.zeros(n_panels + 1)
-        w_half[::2] = _simpson_weights(n_panels // 2 + 1, 2.0 * h)
-
-        s_fine = np.zeros(idx.size)
-        s_half = np.zeros(idx.size)
-        rsq_b, sq_b = rsq[idx], sq[idx]
-        for j, v in enumerate(vs):
-            t = math.exp(v)
-            lp, c_r, c_s = _mehler_coeffs(t, n_dim)
-            g = np.exp(
-                np.maximum(lp - 0.5 * sigma * v + c_r * rsq_b + c_s * sq_b,
-                           _LOG_SAFE_MIN)
-            )
-            s_fine += w_fine[j] * g
-            s_half += w_half[j] * g
-        out[idx] = s_fine + tail
-        err[idx] = np.abs(s_fine - s_half) / 15.0 + tail_err[idx]
-    err += out * 1e-13  # neglected sliver below the time floor
+    for idx, _, vals, errs in _subordinate(
+            np.array([float(sigma)]), rsq.size,
+            lambda idx: (sq[idx], rsq[idx], None), n_dim, rsq.size):
+        out[idx] = vals[0]
+        err[idx] = errs[0]
     return out, err
+
+
+def kernel_sums(sigmas, *, n_pairs: int, pairs,
+                n_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted sums of K_sigma over pairs given by index, for every sigma.
+
+    ``pairs(idx)`` returns (|x|^2+|y|^2, |x-y|^2, weight) of the pairs
+    with indices ``idx`` in range(n_pairs).  Returns, per sigma,
+    (sum of weight * K, sum of weight * error bound), reduced block by
+    block so that no (sigma x pair) array outlives a block.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    value = np.zeros(sigmas.size)
+    error = np.zeros(sigmas.size)
+    for _, weight, vals, errs in _subordinate(sigmas, n_pairs, pairs, n_dim,
+                                              _BLOCK):
+        # pairwise sums, not a dot product: the mesh error bar is the
+        # difference of two such sums and must not carry their rounding
+        value += (vals * weight).sum(axis=1)
+        error += (errs * weight).sum(axis=1)
+    return value, error
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +262,6 @@ def _pair_stats(x, y) -> tuple[float, float, int]:
     return float(x @ x + y @ y), float(d @ d), x.size
 
 
-def _subordinated_pair(sigma: float, sq: float, rsq: float,
-                       n_dim: int) -> tuple[float, float]:
-    """kernel_batch on one pair: (value, error bound)."""
-    if not 0 < sigma < 2:
-        raise ValueError(f"sigma must lie in (0,2), got {sigma}")
-    vals, errs = kernel_batch(sigma, sq=np.array([sq]), rsq=np.array([rsq]),
-                              n_dim=n_dim)
-    return float(vals[0]), float(errs[0])
-
-
 def kernel_K(sigma: float, x, y, rel_tol: float = REL_TOL) -> KernelValue:
     """Subordinated kernel K_sigma(x,y), sigma in (0,2), x != y.
 
@@ -221,7 +270,11 @@ def kernel_K(sigma: float, x, y, rel_tol: float = REL_TOL) -> KernelValue:
     if not 0 < rel_tol <= 1e-2:
         raise ValueError("rel_tol must lie in (0, 1e-2]")
     sq, rsq, n_dim = _pair_stats(x, y)
-    value, error = _subordinated_pair(sigma, sq, rsq, n_dim)
+    if not 0 < sigma < 2:
+        raise ValueError(f"sigma must lie in (0,2), got {sigma}")
+    vals, errs = kernel_batch(sigma, sq=np.array([sq]), rsq=np.array([rsq]),
+                              n_dim=n_dim)
+    value, error = float(vals[0]), float(errs[0])
     if error > rel_tol * value:
         raise ToleranceError(
             f"kernel_K error bound {error:.3e} exceeds rel_tol*value",
@@ -230,14 +283,19 @@ def kernel_K(sigma: float, x, y, rel_tol: float = REL_TOL) -> KernelValue:
     return KernelValue(value, error)
 
 
-def kernel_upper_bound_radial(sigma: float, r: float, n_dim: int) -> float:
+def kernel_upper_bound_radial(sigma, r: float, n_dim: int):
     """Decreasing radial majorant: the kernel bound at separation r > 0.
 
     The subordination integral at |x|^2 + |y|^2 = 0, value plus error so
-    that the quadrature leaves it a bound.
+    that the quadrature leaves it a bound.  ``sigma`` may be an array of
+    indices, evaluated in one pass; the result then has its shape.
     """
-    value, error = _subordinated_pair(sigma, 0.0, r * r, n_dim)
-    return value + error
+    if not np.all((0 < np.asarray(sigma)) & (np.asarray(sigma) < 2)):
+        raise ValueError(f"sigma must lie in (0,2), got {sigma}")
+    value, error = kernel_sums(
+        np.atleast_1d(sigma), n_pairs=1, n_dim=n_dim,
+        pairs=lambda idx: (np.zeros(1), np.full(1, r * r), np.ones(1)))
+    return float(value[0] + error[0]) if np.ndim(sigma) == 0 else value + error
 
 
 def kernel_upper_bound(sigma: float, x, y) -> float:

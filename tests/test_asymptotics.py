@@ -21,12 +21,13 @@ from gfp.asymptotics import (
     sweep,
     sweep_row_lower_bound,
 )
-from gfp.errors import OverlapError
-from gfp.interaction import interaction
+from gfp.errors import BudgetExceededError, OverlapError
+from gfp.interaction import Budget, interaction, perimeter
 from gfp.measure import gauss_measure, std_normal_cdf
 
 HALF = sets.IntervalUnion(intervals=((0.0, math.inf),))
 WINDOW = sets.IntervalUnion(intervals=((-1.0, 1.0),))
+SWEEP_S = (0.5, 0.125, 0.03125, 0.0078125)   # the benchmark's sweep grid
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +98,44 @@ def test_fit_recovers_the_limit_from_exact_rows():
     # 7e-4 of the limit, and the fit residual covers that
     from test_interaction import _halfline_s_perimeter_mp
 
-    s = np.array([0.5, 0.125, 0.03125, 0.0078125])
+    s = np.array(SWEEP_S)
     rows = np.array([_halfline_s_perimeter_mp(x) for x in s])
     coeffs, resid = _fit_small_s(s, rows)
     assert coeffs[0] == pytest.approx(0.5, rel=1.5e-3)
     assert abs(coeffs[0] - 0.5) <= resid
+
+
+def test_sweep_rows_cover_mpmath_references():
+    # sweep-1d's rows for the half-line [0.3, inf) over R, each within
+    # its bar of an mpmath Owen-T integral computed here
+    from test_interaction import _far_halfline_perimeter_mp
+
+    c = 0.3
+    e = sets.IntervalUnion(intervals=((c, math.inf),))
+    res = sweep(e, sets.FullSpace(), SWEEP_S, dim=1)
+    for s, value, error in zip(res.s_values, res.values, res.errors):
+        ref = s * _far_halfline_perimeter_mp(c, s)
+        assert abs(value - ref) <= error, (s, value, ref, error)
+
+
+def test_sweep_rows_equal_single_rows_and_their_budget():
+    # one kernel pass for every s must give each row's single-s
+    # perimeter, and charge the budget what the rows charge together
+    e = sets.complement(sets.IntervalUnion(intervals=((-0.5, 0.5),)))
+    omega = sets.IntervalUnion(intervals=((0.0, 2.0),))
+    budget = Budget()
+    res = sweep(e, omega, SWEEP_S, budget=budget, dim=1)
+    used = 0
+    for s, value, error in zip(res.s_values, res.values, res.errors):
+        row_budget = Budget()
+        row = perimeter(e, omega, s, budget=row_budget, dim=1).total
+        used += row_budget.used
+        assert value == pytest.approx(s * row.value, rel=1e-13)
+        assert error == pytest.approx(s * row.error, rel=1e-6)
+    assert budget.used == used
+    with pytest.raises(BudgetExceededError):
+        sweep(e, omega, SWEEP_S, budget=Budget(used // len(SWEEP_S) - 1),
+              dim=1)
 
 
 def test_sweep_serialization_roundtrip():

@@ -10,6 +10,7 @@ from gfp import sets
 from gfp.errors import BudgetExceededError, OverlapError
 from gfp.interaction import (
     Budget,
+    _clip_intervals,
     interaction,
     j_lambda,
     perimeter,
@@ -204,6 +205,18 @@ def test_perimeter_of_a_far_halfline(c):
     ref = _far_halfline_perimeter_mp(c, 0.5)   # 1.97059173e-18 at c = 9
     assert abs(p.value - ref) <= p.error
     assert p.value == pytest.approx(ref, rel=1e-7)
+
+
+@pytest.mark.parametrize("scale, radius", [(1.0, 8.6), (math.sqrt(2.0), 12.2)])
+def test_clipped_tail_mass_is_mirror_symmetric(scale, radius):
+    # both clipped tails of a half-line under gamma (scale 1) and lambda
+    # (scale sqrt 2): scale Phi(-R / scale), which cdf(inf) - cdf(R)
+    # rounds to 0.0
+    expect = scale * 0.5 * math.erfc(radius / (scale * math.sqrt(2.0)))
+    _, upper = _clip_intervals([(0.3, math.inf)], radius, scale)
+    _, lower = _clip_intervals([(-math.inf, -0.3)], radius, scale)
+    assert upper == pytest.approx(expect, rel=1e-12)
+    assert lower == pytest.approx(expect, rel=1e-12)
 
 
 def test_perimeter_skips_empty_pieces_in_higher_dimension():

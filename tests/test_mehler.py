@@ -13,6 +13,7 @@ from gfp.mehler import (
     kernel_K,
     kernel_batch,
     kernel_lower_bound,
+    kernel_sums,
     kernel_upper_bound,
     kernel_upper_bound_radial,
     mehler,
@@ -190,18 +191,23 @@ def _subordination_mp(sigma, x, y):
         return float(near + (2 / sigma) * big_t ** (-sigma / 2))
 
 
+BATCH_CASES = [
+    (0.5, (0.0,), (1.0,)),
+    (0.1, (1.3,), (1.35,)),
+    (0.9, (-2.0,), (1.5,)),
+    (1.5, (0.4,), (0.2,)),
+    (0.3, (0.5, -0.2), (1.0, 0.4)),
+    (0.9, (-1.0, 2.0), (0.5, 2.1)),
+    (1.2, (0.0, 0.0), (3.0, -4.0)),
+]
+BATCH_PAIRS = {n: [(x, y) for _, x, y in BATCH_CASES if len(x) == n]
+               for n in (1, 2)}
+
+
 def test_batch_agrees_with_scalar():
     # one pair at a time through the batch and through kernel_K, against
     # mpmath, for N = 1 and N = 2
-    for sigma, x, y in [
-        (0.5, (0.0,), (1.0,)),
-        (0.1, (1.3,), (1.35,)),
-        (0.9, (-2.0,), (1.5,)),
-        (1.5, (0.4,), (0.2,)),
-        (0.3, (0.5, -0.2), (1.0, 0.4)),
-        (0.9, (-1.0, 2.0), (0.5, 2.1)),
-        (1.2, (0.0, 0.0), (3.0, -4.0)),
-    ]:
+    for sigma, x, y in BATCH_CASES:
         x, y = np.asarray(x), np.asarray(y)
         vals, errs = kernel_batch(sigma, sq=np.array([x @ x + y @ y]),
                                   rsq=np.array([(x - y) @ (x - y)]),
@@ -211,6 +217,33 @@ def test_batch_agrees_with_scalar():
         assert errs[0] <= 1e-8 * vals[0]
         kv = kernel_K(sigma, x, y)
         assert kv.value == pytest.approx(vals[0], rel=1e-13)
+
+
+def test_kernel_sums_match_batch_and_mpmath_for_every_sigma():
+    # one weighted pass over four indices: per pair (weight 1) each index
+    # equals its own kernel_batch call and its bound covers mpmath; over
+    # several pairs the weighted sums equal the weighted batch values
+    sigmas = np.array([0.1, 0.5, 0.9, 1.5])
+    for n_dim, pairs in BATCH_PAIRS.items():
+        x, y = (np.array(p, dtype=float) for p in zip(*pairs))
+        sq = np.einsum("ij,ij->i", x, x) + np.einsum("ij,ij->i", y, y)
+        rsq = np.einsum("ij,ij->i", x - y, x - y)
+        w = np.linspace(0.5, 2.0, len(pairs))
+        for p in range(len(pairs)):
+            vals, errs = kernel_sums(
+                sigmas, n_pairs=1, n_dim=n_dim,
+                pairs=lambda idx, p=p: (sq[p:p + 1], rsq[p:p + 1], np.ones(1)))
+            for k, sigma in enumerate(sigmas):
+                kb, _ = kernel_batch(sigma, sq=sq[p:p + 1], rsq=rsq[p:p + 1],
+                                     n_dim=n_dim)
+                assert vals[k] == pytest.approx(kb[0], rel=1e-14)
+                ref = _subordination_mp(sigma, x[p], y[p])
+                assert abs(vals[k] - ref) <= errs[k]
+        vals, _ = kernel_sums(sigmas, n_pairs=len(pairs), n_dim=n_dim,
+                              pairs=lambda idx: (sq[idx], rsq[idx], w[idx]))
+        for k, sigma in enumerate(sigmas):
+            kb, _ = kernel_batch(sigma, sq=sq, rsq=rsq, n_dim=n_dim)
+            assert vals[k] == pytest.approx(kb @ w, rel=1e-14)
 
 
 def test_batch_rejects_coincident_pairs():

@@ -176,7 +176,6 @@ def sweep(e: sets.SetExpr, omega: sets.SetExpr = sets.FullSpace(),
                             dim=dim).total for s in s_arr]
     vals = s_arr * np.array([est.value for est in totals])
     errs = s_arr * np.array([est.error for est in totals])
-    methods = [est.method for est in totals]
     coeffs, resid = _fit_small_s(s_arr, vals)
     # Error growth as s shrinks signals a perimeter that is not finite:
     # for finite perimeter the rows stay bounded while a divergent set's
@@ -189,7 +188,8 @@ def sweep(e: sets.SetExpr, omega: sets.SetExpr = sets.FullSpace(),
     )
     uncertainty = max(float(np.max(errs)), resid)
     return SweepResult(
-        s_values=s_arr, values=vals, errors=errs, methods=tuple(methods),
+        s_values=s_arr, values=vals, errors=errs,
+        methods=tuple(est.method for est in totals),
         extrapolated_limit=float(coeffs[0]), uncertainty=uncertainty,
         fit_coefficients=tuple(float(c) for c in coeffs),
         fit_residual=resid, divergence_suspected=divergent,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -227,17 +228,20 @@ def _lambda_density_1d(x):
     return np.exp(-0.25 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def _grid_pairs(xa, wa, xb, wb):
-    """Pairs of the tensor grid xa x xb by flat index: (x^2 + y^2,
-    (x - y)^2, weight), computed per block, never for the whole grid."""
+def _grid_pairs(cells_a, cells_b, density, order):
+    """Size of the tensor grid of both meshes' nodes, and its pairs by flat
+    index: (x^2 + y^2, (x - y)^2, weight), never built for the whole grid."""
+    xa, wa = _mesh_nodes(cells_a, density, order)
+    xb, wb = _mesh_nodes(cells_b, density, order)
+
     def pairs(idx):
         i, k = np.divmod(idx, xb.size)
         x, y = xa[i], xb[k]
         return x * x + y * y, (x - y) ** 2, wa[i] * wb[k]
-    return pairs
+    return xa.size * xb.size, pairs
 
 
-def _euclidean_sums(s_values, n_pairs, pairs):
+def _euclidean_sums(s_values, *, n_pairs, pairs):
     """Weighted sums of |x - y|^(-1-s) and of their rounding bound, per s."""
     value = np.zeros(len(s_values))
     for lo in range(0, n_pairs, _BLOCK):
@@ -274,17 +278,13 @@ def _quadrature_1d(a: SetExpr, b: SetExpr, s_values, budget, lam=False):
         return [ZERO_ESTIMATE] * len(s_values)
     cells_a = _mesh_cells(clip_a, clip_b)
     cells_b = _mesh_cells(clip_b, clip_a)
-    grids = []
-    for order in (_GL_ORDER, 4):
-        xa, wa = _mesh_nodes(cells_a, density, order)
-        xb, wb = _mesh_nodes(cells_b, density, order)
-        grids.append((xa.size * xb.size, _grid_pairs(xa, wa, xb, wb)))
+    grids = [_grid_pairs(cells_a, cells_b, density, order)
+             for order in (_GL_ORDER, 4)]
     budget.charge(len(s_values) * sum(n for n, _ in grids))
     if lam:
         far = [r_trunc ** (-(1.0 + s)) * 4.0 for s in s_values]
         const = [1.0] * len(s_values)
-        (value, err_kernel), (v4, _) = (_euclidean_sums(s_values, *g)
-                                        for g in grids)
+        sums = _euclidean_sums
     else:
         sep = min(
             (_point_set_distance(p, ivs_b)
@@ -297,9 +297,9 @@ def _quadrature_1d(a: SetExpr, b: SetExpr, s_values, budget, lam=False):
         # the r -> 0 constant of the kernel, as in kernel_lower_bound
         const = [2.0 ** (s + 0.5) * gamma_fn((s + 1.0) / 2.0)
                  for s in s_values]
-        (value, err_kernel), (v4, _) = (
-            kernel_sums(s_values, n_pairs=n, pairs=pairs, n_dim=1)
-            for n, pairs in grids)
+        sums = partial(kernel_sums, n_dim=1)
+    (value, err_kernel), (v4, _) = (sums(s_values, n_pairs=n, pairs=pairs)
+                                    for n, pairs in grids)
     # mesh residual: same cells, lower order; it also covers what the
     # corner correction leaves behind
     err = err_kernel + np.abs(value - v4) + (tail_a + tail_b) * np.asarray(far)

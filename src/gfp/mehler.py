@@ -9,9 +9,8 @@ and the jump kernel of the fractional operator is the subordination
 integral K_sigma(x,y) = int_0^inf M_t(x,y) t^{-sigma/2-1} dt.
 
 Evaluation strategy: one routine, _subordinate, serves a single pair,
-the batches of kernel_batch and the weighted sums of kernel_sums, for
-one index sigma or many: the sigma-free part of the integrand is
-computed once per time node and shared by every index.  Log-time
+kernel_batch and the weighted sums of kernel_sums, for one index sigma
+or many, sharing the sigma-free part of the integrand.  Log-time
 substitution removes the Gauss-Weierstrass spike at t -> 0+ (the
 integrand becomes a smooth bump in v = log t), which a fixed-step
 Simpson rule integrates up to t = T with its half-grid difference as
@@ -142,13 +141,12 @@ def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int, block: int):
     ``pairs(idx)`` returns (|x|^2+|y|^2, |x-y|^2, weight) of the pairs
     with indices ``idx``; the weight is only handed back.  Pairs are
     banded by separation so that the log-time grid of each band only
-    spans the region where its integrands live, and each band is worked
-    through in blocks of at most ``block`` pairs.  Per time node the
-    sigma-free exponent and its exp are computed once and shared by every
-    index; the half-grid rule reads even nodes only.  Yields (idx,
-    weight, values, errors) per block, values and errors of shape
-    (len(sigmas), len(idx)); the error combines the Simpson half-grid
-    comparison with the analytic-tail defect.
+    spans the region where its integrands live, and worked through in
+    blocks of at most ``block`` pairs.  Per time node the sigma-free
+    exponent and its exp are computed once for every index.  Yields
+    (idx, weight, values, errors) per block, values and errors of shape
+    (len(sigmas), len(idx)); the error adds the Simpson half-grid
+    comparison and the analytic-tail defect.
     """
     if not n_pairs:
         return
@@ -168,9 +166,9 @@ def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int, block: int):
                   for lo in range(0, members.size, block)]
         if not blocks:
             continue
-        t0 = _t_floor(min(float(pairs(idx)[1].min()) for idx in blocks),
-                      max(float(pairs(idx)[0].max()) for idx in blocks), n_dim)
-        vmin = math.log(t0)
+        vmin = math.log(_t_floor(
+            min(float(pairs(idx)[1].min()) for idx in blocks),
+            max(float(pairs(idx)[0].max()) for idx in blocks), n_dim))
         n_panels = max(8, int(math.ceil((vmax - vmin) / _LOG_STEP)))
         n_panels += (-n_panels) % 4  # multiple of 4: half grid is Simpson too
         vs = np.linspace(vmin, vmax, n_panels + 1)
@@ -232,9 +230,8 @@ def kernel_sums(sigmas, *, n_pairs: int, pairs,
     """Weighted sums of K_sigma over pairs given by index, for every sigma.
 
     ``pairs(idx)`` returns (|x|^2+|y|^2, |x-y|^2, weight) of the pairs
-    with indices ``idx`` in range(n_pairs).  Returns, per sigma,
-    (sum of weight * K, sum of weight * error bound), reduced block by
-    block so that no (sigma x pair) array outlives a block.
+    with indices ``idx`` in range(n_pairs).  Returns, per sigma, the sums
+    of weight * K and of weight * error bound, reduced block by block.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     value = np.zeros(sigmas.size)

@@ -405,6 +405,28 @@ def _interaction_mc(a, b, sigma, budget, seed, n_dim, mass_a, mass_b):
     if n < 1000:
         raise BudgetExceededError("fewer than 1000 Monte Carlo pairs left in budget")
     budget.charge(n)
+    idx, sq, rsq, gauss_pdf_y, q = _mixture_pairs(a, b, sigma, seed, n,
+                                                  n_dim, mass_b.value)
+    weighted = np.zeros(n)
+    if idx.size:
+        kv, _ = kernel_batch(sigma, sq=sq, rsq=rsq, n_dim=n_dim)
+        weighted[idx] = kv * gauss_pdf_y / q
+
+    mean = float(weighted.mean())
+    se = float(weighted.std(ddof=1)) / math.sqrt(n)
+    value = mass_a.value * mean
+    error = mass_a.value * se + mass_a.std_error * abs(mean)
+    # the mixture uses the estimated gamma(B); its relative error leaks in
+    if mass_b.std_error > 0:
+        error += 0.5 * value * mass_b.std_error / mass_b.value
+    return InteractionEstimate(value, error, "monte-carlo", n)
+
+
+def _mixture_pairs(a, b, sigma, seed, n, n_dim, mass_b):
+    """The draws of _interaction_mc, worked through in blocks, reduced to
+    the pairs with y in B and q > 0: their indices, |x|^2 + |y|^2,
+    |x - y|^2, gamma's density at y and the mixture density q at y.
+    The full-size draws are freed on return, before the kernel call."""
     x = sample_gaussian(n, seed=seed, dim=n_dim, restrict=a, stream=1)
     y_gauss = sample_gaussian(n, seed=seed, dim=n_dim, restrict=b, stream=2)
     rng = _rng(seed, 3)
@@ -415,38 +437,33 @@ def _interaction_mc(a, b, sigma, budget, seed, n_dim, mass_a, mass_b):
     radii = (c - u * (c - 1.0)) ** (-1.0 / sigma)
     dirs = rng.standard_normal((n, n_dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    y = np.where(take_shell[:, None], x + radii[:, None] * dirs, y_gauss)
-
-    in_b = sets.contains(b, y)
-    gauss_pdf_y = (2.0 * math.pi) ** (-n_dim / 2.0) * np.exp(
-        -0.5 * np.einsum("ij,ij->i", y, y)
-    )
-    r = np.linalg.norm(y - x, axis=1)
-    shell_ok = (r > _SHELL_R_LO) & (r < 1.0)
-    radial_pdf = np.zeros(n)
     norm = (c - 1.0) / sigma
-    radial_pdf[shell_ok] = (
-        r[shell_ok] ** (-1.0 - sigma) / norm
-        / (_sphere_surface(n_dim) * r[shell_ok] ** (n_dim - 1))
-    )
-    q = 0.5 * gauss_pdf_y * in_b / mass_b.value + 0.5 * radial_pdf
-
-    weighted = np.zeros(n)
-    live = in_b & (q > 0.0) & (r > 0.0)
-    if live.any():
-        xs, ys = x[live], y[live]
-        sq = np.einsum("ij,ij->i", xs, xs) + np.einsum("ij,ij->i", ys, ys)
-        kv, _ = kernel_batch(sigma, sq=sq, rsq=r[live] ** 2, n_dim=n_dim)
-        weighted[live] = kv * gauss_pdf_y[live] / q[live]
-
-    mean = float(weighted.mean())
-    se = float(weighted.std(ddof=1)) / math.sqrt(n)
-    value = mass_a.value * mean
-    error = mass_a.value * se + mass_a.std_error * abs(mean)
-    # the mixture uses the estimated gamma(B); its relative error leaks in
-    if mass_b.std_error > 0:
-        error += 0.5 * value * mass_b.std_error / mass_b.value
-    return InteractionEstimate(value, error, "monte-carlo", n)
+    live_pairs = []
+    for lo in range(0, n, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        xb = x[blk]
+        y = np.where(take_shell[blk, None], xb + radii[blk, None] * dirs[blk],
+                     y_gauss[blk])
+        in_b = sets.contains(b, y)
+        gauss_pdf_y = (2.0 * math.pi) ** (-n_dim / 2.0) * np.exp(
+            -0.5 * np.einsum("ij,ij->i", y, y)
+        )
+        r = np.linalg.norm(y - xb, axis=1)
+        shell_ok = (r > _SHELL_R_LO) & (r < 1.0)
+        radial_pdf = np.zeros(r.size)
+        radial_pdf[shell_ok] = (
+            r[shell_ok] ** (-1.0 - sigma) / norm
+            / (_sphere_surface(n_dim) * r[shell_ok] ** (n_dim - 1))
+        )
+        q = 0.5 * gauss_pdf_y * in_b / mass_b + 0.5 * radial_pdf
+        live = np.flatnonzero(in_b & (q > 0.0) & (r > 0.0))
+        xs, ys = xb[live], y[live]
+        live_pairs.append((
+            lo + live,
+            np.einsum("ij,ij->i", xs, xs) + np.einsum("ij,ij->i", ys, ys),
+            r[live] ** 2, gauss_pdf_y[live], q[live],
+        ))
+    return tuple(map(np.concatenate, zip(*live_pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +552,9 @@ def seminorm_sq_direct(
     y = sample_gaussian(n, seed=seed, dim=dim, stream=6)
     du = np.asarray(u(x), dtype=float) - np.asarray(u(y), dtype=float)
     sq = np.einsum("ij,ij->i", x, x) + np.einsum("ij,ij->i", y, y)
-    rsq = np.einsum("ij,ij->i", x - y, x - y)
+    x -= y
+    rsq = np.einsum("ij,ij->i", x, x)
+    del x, y  # not held through the kernel call
     live = rsq > 0.0
     vals = np.zeros(n)
     kv, _ = kernel_batch(2.0 * s, sq=sq[live], rsq=rsq[live], n_dim=dim)

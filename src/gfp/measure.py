@@ -19,6 +19,7 @@ from .errors import RestrictionMassError
 from .sets import SetExpr
 
 _SQRT2 = math.sqrt(2.0)
+_COUNT_BLOCK = 65536  # draws per block of a Monte Carlo measure
 
 
 def std_normal_cdf(t: float) -> float:
@@ -211,8 +212,13 @@ def gauss_measure(
     cf = _closed_form(expr, dim)
     if cf is not None:
         return MeasureEstimate(cf, 0.0, "closed-form")
-    pts = sample_gaussian(n_mc, seed=seed, dim=dim)
-    p = float(np.mean(sets.contains(expr, pts)))
+    # sample_gaussian's draws, counted block by block instead of held at once
+    rng = _rng(seed, 0)
+    hits = 0
+    for lo in range(0, n_mc, _COUNT_BLOCK):
+        pts = rng.standard_normal((min(_COUNT_BLOCK, n_mc - lo), dim))
+        hits += int(np.count_nonzero(sets.contains(expr, pts)))
+    p = hits / n_mc
     se = math.sqrt(max(p * (1.0 - p), 1.0 / n_mc) / n_mc)
     return MeasureEstimate(p, se, "monte-carlo")
 

@@ -1,5 +1,6 @@
 """Interaction energies, perimeters and the direct seminorm."""
 
+import importlib
 import math
 
 import mpmath as mp
@@ -113,6 +114,15 @@ def test_mc_determinism():
     r1 = interaction(a, b, 0.5, dim=2, seed=9)
     r2 = interaction(a, b, 0.5, dim=2, seed=9)
     assert r1 == r2
+
+
+def test_mc_does_not_depend_on_the_block_size(monkeypatch):
+    a = sets.Ball(center=(0.3, 0.0), radius=1.0)
+    b = sets.Complement(a)
+    blocked = interaction(a, b, 0.4, dim=2, seed=2)
+    monkeypatch.setattr(importlib.import_module("gfp.interaction"),
+                        "_BLOCK", 10 ** 6)
+    assert interaction(a, b, 0.4, dim=2, seed=2) == blocked
 
 
 # ---------------------------------------------------------------------------

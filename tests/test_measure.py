@@ -144,6 +144,15 @@ def test_mc_is_deterministic():
     assert a == b
 
 
+def test_mc_counts_the_draws_of_sample_gaussian():
+    # the count runs block by block; 65537 draws cross a block boundary
+    e = sets.Ball(center=(0.5, -0.2), radius=0.8)
+    for n in (1000, 65537):
+        pts = sample_gaussian(n, seed=4, dim=2)
+        est = gauss_measure(e, n_mc=n, seed=4)
+        assert est.value == float(np.mean(sets.contains(e, pts)))
+
+
 # ---------------------------------------------------------------------------
 # densities and sampling
 # ---------------------------------------------------------------------------

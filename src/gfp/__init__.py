@@ -4,7 +4,6 @@ from .asymptotics import (
     DivergentExample,
     LimitValue,
     SweepResult,
-    additivity_defect,
     check_subadditivity,
     divergent_example,
     mu_limit,
@@ -29,8 +28,6 @@ from .interaction import (
     seminorm_sq_direct,
 )
 from .measure import (
-    GaussianMeasure,
-    LambdaMeasure,
     MeasureEstimate,
     abs_gamma_neg,
     gamma_fn,

@@ -210,13 +210,8 @@ def additivity_defect(a: sets.SetExpr, b: sets.SetExpr, dim: int = 1,
     inter = gauss_measure(sets.Intersection(a, b), dim=dim, seed=seed)
     if inter.value > 3.0 * inter.std_error + 1e-12:
         raise OverlapError("A and B must be disjoint")
-    full = sets.FullSpace()
-    mu_ab = mu_limit(sets.Union(a, b), full, dim=dim, seed=seed)
-    mu_a = mu_limit(a, full, dim=dim, seed=seed)
-    mu_b = mu_limit(b, full, dim=dim, seed=seed)
-    defect = mu_ab.mu - mu_a.mu - mu_b.mu
-    err = math.sqrt(mu_ab.error ** 2 + mu_a.error ** 2 + mu_b.error ** 2)
-    return defect, err
+    report = check_subadditivity(a, b, dim=dim, seed=seed)
+    return -report.slack, report.error
 
 
 def interaction_lower_bound(a: sets.SetExpr, b: sets.SetExpr,

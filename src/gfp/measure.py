@@ -1,10 +1,9 @@
-"""Gaussian and weighted measures, special functions, reproducible sampling.
+"""Gaussian measure of sets, special functions, reproducible sampling.
 
-gamma is the standard Gaussian probability measure on R^N; lam is the
-auxiliary measure with density (2*pi)^(-N/2) exp(-|x|^2/4), total mass
-2^(N/2).  Measures of sets are computed in closed form whenever the
-expression reduces to half-spaces, boxes, 1-D interval unions or centered
-balls, and by seeded Monte Carlo otherwise.
+gamma is the standard Gaussian probability measure on R^N.  Measures of
+sets are computed in closed form whenever the expression reduces to
+half-spaces, boxes, 1-D interval unions or centered balls, and by seeded
+Monte Carlo otherwise.
 """
 
 from __future__ import annotations
@@ -90,38 +89,6 @@ def abs_gamma_neg(s: float) -> float:
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0,1), got {s}")
     return gamma_fn(1.0 - s) / s
-
-
-@dataclass(frozen=True)
-class GaussianMeasure:
-    """Standard Gaussian probability measure on R^N."""
-
-    dimension: int
-
-    def density(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        sq = np.einsum("...i,...i->...", x, x)
-        return (2.0 * math.pi) ** (-self.dimension / 2.0) * np.exp(-sq / 2.0)
-
-    @property
-    def total_mass(self) -> float:
-        return 1.0
-
-
-@dataclass(frozen=True)
-class LambdaMeasure:
-    """Weighted measure with density (2*pi)^(-N/2) exp(-|x|^2/4)."""
-
-    dimension: int
-
-    def density(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        sq = np.einsum("...i,...i->...", x, x)
-        return (2.0 * math.pi) ** (-self.dimension / 2.0) * np.exp(-sq / 4.0)
-
-    @property
-    def total_mass(self) -> float:
-        return 2.0 ** (self.dimension / 2.0)
 
 
 @dataclass(frozen=True)

@@ -186,14 +186,6 @@ def _contains(expr: SetExpr, x: np.ndarray) -> np.ndarray:
     raise TypeError(f"not a set expression: {expr!r}")
 
 
-def indicator(expr: SetExpr, x) -> int:
-    """Characteristic function of the set at a single point: 0 or 1."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1:
-        raise DimensionMismatchError("indicator expects a single point")
-    return int(contains(expr, x))
-
-
 def complement(expr: SetExpr) -> SetExpr:
     """Complement with trivial simplifications."""
     if isinstance(expr, FullSpace):

@@ -18,7 +18,6 @@ density), evaluated through the normalized recurrence so degrees up to
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -94,31 +93,6 @@ class HermiteExpansion:
         alpha = np.atleast_1d(np.asarray(alpha, dtype=int))
         hit = np.all(self.alphas == alpha, axis=1)
         return float(self.coeffs[hit].sum())
-
-    def norm_sq(self) -> float:
-        """Squared L^2 norm including the tail estimate."""
-        return float(self.coeffs @ self.coeffs) + self.tail_bound
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "dimension": self.dimension,
-            "degree": self.degree,
-            "entries": [
-                [[int(a) for a in alpha], float(c)]
-                for alpha, c in zip(self.alphas, self.coeffs)
-            ],
-            "tail_bound": self.tail_bound,
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "HermiteExpansion":
-        doc = json.loads(text)
-        alphas = np.array([e[0] for e in doc["entries"]], dtype=int)
-        coeffs = np.array([e[1] for e in doc["entries"]], dtype=float)
-        if alphas.size == 0:
-            alphas = alphas.reshape(0, doc["dimension"])
-        return cls(doc["dimension"], doc["degree"], alphas, coeffs,
-                   float(doc["tail_bound"]))
 
     @classmethod
     def from_coefficients(cls, entries: dict, dimension: int,
@@ -250,14 +224,3 @@ def apply_frac_ou(exp: HermiteExpansion, s: float) -> HermiteExpansion:
     return HermiteExpansion(
         exp.dimension, exp.degree, exp.alphas, exp.coeffs * factor, tail
     )
-
-
-def pairing(a: HermiteExpansion, b: HermiteExpansion) -> float:
-    """L^2 pairing of two expansions over the shared index range."""
-    if a.dimension != b.dimension:
-        raise DimensionMismatchError("expansions live in different dimensions")
-    out = 0.0
-    index = {tuple(al): c for al, c in zip(b.alphas, b.coeffs)}
-    for al, c in zip(a.alphas, a.coeffs):
-        out += c * index.get(tuple(al), 0.0)
-    return out

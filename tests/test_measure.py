@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from gfp import sets
 from gfp.errors import RestrictionMassError
 from gfp.measure import (
-    GaussianMeasure,
-    LambdaMeasure,
     _chi2_ball_mass,
     _gauss_rule,
     abs_gamma_neg,
@@ -154,19 +152,8 @@ def test_mc_counts_the_draws_of_sample_gaussian():
 
 
 # ---------------------------------------------------------------------------
-# densities and sampling
+# sampling
 # ---------------------------------------------------------------------------
-
-def test_density_normalizations():
-    x = np.zeros((1, 2))
-    assert GaussianMeasure(2).density(x)[0] == pytest.approx(
-        1.0 / (2 * math.pi), rel=1e-15)
-    # lambda total mass is 2^(N/2)
-    assert LambdaMeasure(2).total_mass == pytest.approx(2.0, rel=1e-15)
-    z = np.random.default_rng(0).uniform(-8, 8, size=(200_000, 1))
-    mass = float(np.mean(LambdaMeasure(1).density(z))) * 16.0
-    assert mass == pytest.approx(math.sqrt(2.0), rel=5e-3)
-
 
 def test_sample_gaussian_moments():
     pts = sample_gaussian(200_000, seed=0, dim=2)

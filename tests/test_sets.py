@@ -116,10 +116,10 @@ def test_halfspace_normal_must_be_unit():
         sets.HalfSpace(normal=(2.0, 0.0), offset=0.0)
 
 
-def test_indicator_matches_contains():
+def test_contains_at_a_single_point():
     e = sets.Ball(center=(0.0, 0.0), radius=1.0)
-    assert sets.indicator(e, [0.0, 0.0]) == 1
-    assert sets.indicator(e, [2.0, 0.0]) == 0
+    assert sets.contains(e, np.array([0.0, 0.0]))
+    assert not sets.contains(e, np.array([2.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from gfp.spectral import (
     expand,
     hermite_value,
     ms_limit,
-    pairing,
     spectral_seminorm_sq,
 )
 
@@ -122,15 +121,6 @@ def test_expand_general_interval_mass():
         std_normal_cdf(2.0) - std_normal_cdf(1.0), abs=1e-15)
 
 
-def test_json_roundtrip():
-    exp = expand(HALF, 25)
-    back = HermiteExpansion.from_json(exp.to_json())
-    assert back.dimension == exp.dimension
-    assert back.degree == exp.degree
-    np.testing.assert_array_equal(back.coeffs, exp.coeffs)
-    assert back.tail_bound == exp.tail_bound
-
-
 # ---------------------------------------------------------------------------
 # spectral functionals
 # ---------------------------------------------------------------------------
@@ -187,6 +177,6 @@ def test_pairing_identity():
     # 2 s <u, (-L)^s u> = s [u]^2 via s |Gamma(-s)| = Gamma(1 - s)
     exp = expand(HALF, 200)
     for s in (0.25, 0.5):
-        lhs = 2.0 * s * pairing(exp, apply_frac_ou(exp, s))
+        lhs = 2.0 * s * (exp.coeffs @ apply_frac_ou(exp, s).coeffs)
         rhs = s * spectral_seminorm_sq(exp, s).value
         assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -73,8 +73,17 @@ def _budget(args) -> Budget | None:
     return Budget(max_evals=args.budget) if args.budget else None
 
 
+def _s_value(text: str) -> float:
+    """argparse type of --s: a float in (0, 1)."""
+    s = float(text)
+    if not 0 < s < 1:
+        raise argparse.ArgumentTypeError(f"s must lie in (0, 1), got {text}")
+    return s
+
+
 def _s_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    """argparse type of --s-list: comma-separated values in (0, 1)."""
+    return [_s_value(tok) for tok in text.split(",") if tok.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +103,6 @@ def _cmd_kernel(args, parser) -> int:
 
 def _cmd_perimeter(args, parser) -> int:
     e, omega, dim = _load_pair(args, parser)
-    if not 0 < args.s < 1:
-        parser.error("--s must lie in (0, 1)")
     _emit_row(args, perimeter(e, omega, args.s, budget=_budget(args),
                               seed=args.seed, dim=dim).total)
     return 0
@@ -103,8 +110,6 @@ def _cmd_perimeter(args, parser) -> int:
 
 def _cmd_jlambda(args, parser) -> int:
     e, omega, dim = _load_pair(args, parser)
-    if not 0 < args.s < 1:
-        parser.error("--s must lie in (0, 1)")
     _emit_row(args, j_lambda(e, omega, args.s, budget=_budget(args),
                              dim=dim).total)
     return 0
@@ -112,10 +117,7 @@ def _cmd_jlambda(args, parser) -> int:
 
 def _cmd_sweep(args, parser) -> int:
     e, omega, dim = _load_pair(args, parser)
-    s_list = (_s_list(args.s_list) if args.s_list
-              else asymptotics.DEFAULT_S_LIST)
-    if any(not 0 < s < 1 for s in s_list):
-        parser.error("--s-list values must lie in (0, 1)")
+    s_list = args.s_list or asymptotics.DEFAULT_S_LIST
     result = asymptotics.sweep(e, omega, s_list, budget=_budget(args),
                                seed=args.seed, dim=dim)
     if args.format == "json":
@@ -140,8 +142,6 @@ def _cmd_limit(args, parser) -> int:
 
 
 def _cmd_spectral(args, parser) -> int:
-    if not 0 < args.s < 1:
-        parser.error("--s must lie in (0, 1)")
     if args.u == "chi":
         if not args.set:
             parser.error("--u chi requires --set")
@@ -166,8 +166,6 @@ def _cmd_spectral(args, parser) -> int:
 
 
 def _cmd_example(args, parser) -> int:
-    if not 0 < args.s < 1:
-        parser.error("--s must lie in (0, 1)")
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     ex = asymptotics.divergent_example(args.pairs, args.s)
@@ -220,14 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--set", required=True, help="E as JSON file")
         p.add_argument("--omega", default=None, help="Omega as JSON file")
-        p.add_argument("--s", type=float, required=True)
+        p.add_argument("--s", type=_s_value, required=True)
         _add_flags(p, *flags)
         p.set_defaults(run=fn)
 
     p = sub.add_parser("sweep", help="s * perimeter sweep with extrapolation")
     p.add_argument("--set", required=True)
     p.add_argument("--omega", default=None)
-    p.add_argument("--s-list", default=None,
+    p.add_argument("--s-list", type=_s_list, default=None,
                    help="comma-separated decreasing s values")
     _add_flags(p, "--seed", "--budget", "--format")
     p.set_defaults(run=_cmd_sweep)
@@ -241,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="Hermite spectral seminorm")
     p.add_argument("--u", default="chi", help="'chi' (uses --set) or 'h<n>'")
     p.add_argument("--set", default=None)
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_s_value, required=True)
     p.add_argument("--degree", type=int, default=10 ** 5)
     _add_flags(p)
     p.set_defaults(run=_cmd_spectral)
 
     p = sub.add_parser("example", help="divergent-perimeter lower bound")
     p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_s_value, required=True)
     _add_flags(p)
     p.set_defaults(run=_cmd_example)
 

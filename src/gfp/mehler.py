@@ -13,9 +13,10 @@ kernel_batch and the weighted sums of kernel_sums, for one index sigma
 or many, sharing the sigma-free part of the integrand.  Log-time
 substitution removes the Gauss-Weierstrass spike at t -> 0+ (the
 integrand becomes a smooth bump in v = log t), which a fixed-step
-Simpson rule integrates up to t = T with its half-grid difference as
-error estimate; the far tail t > T is analytic up to the certified
-deviation of M_t from 1, which is folded into the reported error bound.
+Simpson rule integrates up to t = T with its half-grid difference plus
+the rounding of the sum as error estimate; the far tail t > T is
+analytic up to the certified deviation of M_t from 1, which is folded
+into the reported error bound.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int, block: int):
     exponent and its exp are computed once for every index.  Yields
     (idx, weight, values, errors) per block, values and errors of shape
     (len(sigmas), len(idx)); the error adds the Simpson half-grid
-    comparison and the analytic-tail defect.
+    comparison, the analytic-tail defect and the rounding of the sum.
     """
     if not n_pairs:
         return
@@ -198,6 +199,8 @@ def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int, block: int):
             errors = (np.abs(fine - half) / 15.0
                       + np.multiply.outer(tail, _tail_defect(rsq, sq, n_dim)))
             errors += values * 1e-13  # neglected sliver below the time floor
+            # rounding of the positive-term sum: one ulp per summed node
+            errors += (n_panels + 1) * 2.0 ** -52 * fine
             yield idx, weight, values, errors
 
 

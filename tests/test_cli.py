@@ -187,6 +187,20 @@ def test_unread_flag_is_usage_error(argv, half_json):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["perimeter", "--set", "E", "--s", "1.5"],
+    ["jlambda", "--set", "E", "--s", "0"],
+    ["spectral", "--u", "h1", "--s", "-0.25"],
+    ["example", "--pairs", "10", "--s", "1"],
+])
+def test_s_outside_zero_one_is_usage_error(argv, half_json, capsys):
+    argv = [half_json if a == "E" else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "must lie in (0, 1)" in capsys.readouterr().err
+
+
 def test_main_leaves_environment_unchanged(half_json, monkeypatch, capsys):
     monkeypatch.delenv("GFP_WORKERS", raising=False)
     before = dict(os.environ)

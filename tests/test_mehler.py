@@ -246,6 +246,28 @@ def test_kernel_sums_match_batch_and_mpmath_for_every_sigma():
             assert vals[k] == pytest.approx(kb @ w, rel=1e-14)
 
 
+def test_error_bound_covers_mpmath_down_to_near_diagonal_pairs():
+    # 40 seeded pairs, N in {1, 2, 3}, sigma in [0.1, 1.5], |x - y|
+    # log-uniform in [1e-5, 3]; near the diagonal the half-grid difference
+    # vanishes and the bar rests on the rounding of ~2,500 summed nodes
+    rng = np.random.default_rng(0)
+    misses = []
+    for _ in range(40):
+        n_dim = int(rng.integers(1, 4))
+        sigma = float(rng.uniform(0.1, 1.5))
+        r = float(np.exp(rng.uniform(math.log(1e-5), math.log(3.0))))
+        x = rng.uniform(-1.5, 1.5, n_dim)
+        d = rng.standard_normal(n_dim)
+        y = x + r * d / np.linalg.norm(d)
+        vals, errs = kernel_batch(sigma, sq=np.array([x @ x + y @ y]),
+                                  rsq=np.array([(x - y) @ (x - y)]),
+                                  n_dim=n_dim)
+        off = abs(vals[0] - _subordination_mp(sigma, x, y))
+        if off > errs[0]:
+            misses.append((n_dim, sigma, r, off / errs[0]))
+    assert misses == []
+
+
 def test_batch_rejects_coincident_pairs():
     with pytest.raises(SingularInputError):
         kernel_batch(0.5, sq=np.array([2.0]), rsq=np.array([0.0]), n_dim=1)

@@ -10,7 +10,6 @@ from .asymptotics import (
     sweep,
 )
 from .errors import (
-    BudgetExceededError,
     DimensionMismatchError,
     GfpError,
     OverlapError,
@@ -19,7 +18,6 @@ from .errors import (
     ToleranceError,
 )
 from .interaction import (
-    Budget,
     InteractionEstimate,
     PerimeterBreakdown,
     interaction,
@@ -39,7 +37,6 @@ from .mehler import (
     kernel_K,
     kernel_lower_bound,
     kernel_upper_bound,
-    mehler,
     semigroup_mass,
 )
 from .sets import (
@@ -61,7 +58,6 @@ from .spectral import (
     HermiteExpansion,
     apply_frac_ou,
     expand,
-    hermite_value,
     ms_limit,
     spectral_seminorm_sq,
 )

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import sets
 from .errors import OverlapError
-from .interaction import (Budget, InteractionEstimate, PerimeterBreakdown,
+from .interaction import (InteractionEstimate, PerimeterBreakdown,
                           _operand_dim, _quadrature_1d, _three_pieces,
                           perimeter)
 from .measure import MeasureEstimate, gauss_measure
@@ -92,23 +92,6 @@ class SweepResult:
             "divergence_suspected": self.divergence_suspected,
         })
 
-    @classmethod
-    def from_json(cls, text: str) -> "SweepResult":
-        doc = json.loads(text)
-        rows = doc["rows"]
-        return cls(
-            s_values=np.array([r["s"] for r in rows]),
-            values=np.array([r["value"] for r in rows]),
-            errors=np.array([r["error"] for r in rows]),
-            methods=tuple(r["method"] for r in rows),
-            extrapolated_limit=float(doc["extrapolated_limit"]),
-            uncertainty=float(doc["uncertainty"]),
-            fit_coefficients=(doc["fit"]["a"], doc["fit"]["b"],
-                              doc["fit"]["c"]),
-            fit_residual=float(doc["fit"]["residual"]),
-            divergence_suspected=bool(doc["divergence_suspected"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # closed-form limit
@@ -155,8 +138,7 @@ def _fit_small_s(s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def sweep(e: sets.SetExpr, omega: sets.SetExpr = sets.FullSpace(),
-          s_list=DEFAULT_S_LIST, budget: Budget | None = None, seed: int = 0,
-          dim: int = 1) -> SweepResult:
+          s_list=DEFAULT_S_LIST, seed: int = 0, dim: int = 1) -> SweepResult:
     """s * perimeter along a decreasing s grid, extrapolated to s = 0."""
     s_arr = np.asarray(sorted(set(float(s) for s in s_list), reverse=True))
     if s_arr.size < 4:
@@ -167,13 +149,11 @@ def sweep(e: sets.SetExpr, omega: sets.SetExpr = sets.FullSpace(),
     pieces = _three_pieces(e, omega)
     if all(_operand_dim(pa, pb, dim) == 1 for pa, pb in pieces):
         # one kernel pass per piece serves every s
-        budget = budget if budget is not None else Budget()
-        rows = zip(*(_quadrature_1d(pa, pb, s_arr, budget)
-                     for pa, pb in pieces))
+        rows = zip(*(_quadrature_1d(pa, pb, s_arr) for pa, pb in pieces))
         totals = [PerimeterBreakdown(*row).total for row in rows]
     else:
-        totals = [perimeter(e, omega, s, budget=budget, seed=seed,
-                            dim=dim).total for s in s_arr]
+        totals = [perimeter(e, omega, s, seed=seed, dim=dim).total
+                  for s in s_arr]
     vals = s_arr * np.array([est.value for est in totals])
     errs = s_arr * np.array([est.error for est in totals])
     coeffs, resid = _fit_small_s(s_arr, vals)
@@ -317,12 +297,10 @@ class DivergentExample:
     intervals: sets.IntervalUnion
     lower_bound: float
 
-    def perimeter_estimate(self, budget: Budget | None = None,
-                           seed: int = 0) -> InteractionEstimate:
+    def perimeter_estimate(self) -> InteractionEstimate:
         """Direct quadrature of the truncated set's perimeter (small J only)."""
         omega = sets.IntervalUnion(intervals=((0.0, self.total_length),))
-        return perimeter(self.intervals, omega, self.s, budget=budget,
-                         seed=seed, dim=1).total
+        return perimeter(self.intervals, omega, self.s, dim=1).total
 
 
 def divergent_example(pairs: int, s: float,

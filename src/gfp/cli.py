@@ -15,9 +15,11 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import asymptotics, sets, spectral
 from .errors import GfpError, SingularInputError
-from .interaction import Budget, j_lambda, perimeter
+from .interaction import j_lambda, perimeter
 from .mehler import REL_TOL, kernel_K
 
 
@@ -69,10 +71,6 @@ def _emit_row(args, est) -> None:
     _summary(args.command, est.value, est.error)
 
 
-def _budget(args) -> Budget | None:
-    return Budget(max_evals=args.budget) if args.budget else None
-
-
 def _s_value(text: str) -> float:
     """argparse type of --s: a float in (0, 1)."""
     s = float(text)
@@ -83,7 +81,10 @@ def _s_value(text: str) -> float:
 
 def _s_list(text: str) -> list[float]:
     """argparse type of --s-list: comma-separated values in (0, 1)."""
-    return [_s_value(tok) for tok in text.split(",") if tok.strip()]
+    s_list = [_s_value(tok) for tok in text.split(",") if tok.strip()]
+    if not s_list:
+        raise argparse.ArgumentTypeError("no s value given")
+    return s_list
 
 
 # ---------------------------------------------------------------------------
@@ -103,23 +104,21 @@ def _cmd_kernel(args, parser) -> int:
 
 def _cmd_perimeter(args, parser) -> int:
     e, omega, dim = _load_pair(args, parser)
-    _emit_row(args, perimeter(e, omega, args.s, budget=_budget(args),
-                              seed=args.seed, dim=dim).total)
+    _emit_row(args, perimeter(e, omega, args.s, seed=args.seed,
+                              dim=dim).total)
     return 0
 
 
 def _cmd_jlambda(args, parser) -> int:
     e, omega, dim = _load_pair(args, parser)
-    _emit_row(args, j_lambda(e, omega, args.s, budget=_budget(args),
-                             dim=dim).total)
+    _emit_row(args, j_lambda(e, omega, args.s, dim=dim).total)
     return 0
 
 
 def _cmd_sweep(args, parser) -> int:
     e, omega, dim = _load_pair(args, parser)
-    s_list = args.s_list or asymptotics.DEFAULT_S_LIST
-    result = asymptotics.sweep(e, omega, s_list, budget=_budget(args),
-                               seed=args.seed, dim=dim)
+    result = asymptotics.sweep(e, omega, args.s_list, seed=args.seed,
+                               dim=dim)
     if args.format == "json":
         _emit(args, result.to_json())
     else:
@@ -152,9 +151,11 @@ def _cmd_spectral(args, parser) -> int:
         if dim != 1:
             parser.error("spectral expansion supports N = 1")
         exp = spectral.expand(e, args.degree)
-    elif args.u.startswith("h"):
+    elif args.u.startswith("h") and args.u[1:].isdigit():
         n = int(args.u[1:])
-        exp = spectral.HermiteExpansion.from_coefficients({(n,): 1.0}, 1)
+        coeffs = np.zeros(n + 1)
+        coeffs[n] = 1.0
+        exp = spectral.HermiteExpansion(coeffs)
     else:
         parser.error("--u must be 'chi' or 'h<n>'")
     sn = spectral.spectral_seminorm_sq(exp, args.s)
@@ -182,7 +183,6 @@ def _cmd_example(args, parser) -> int:
 
 _FLAGS = {
     "--seed": dict(type=int, default=0),
-    "--budget": dict(type=int, default=None),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--tol": dict(type=float, default=REL_TOL),
     "--out": dict(default=None),
@@ -211,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn, helptext, flags in (
         ("perimeter", _cmd_perimeter, "fractional Gaussian perimeter",
-         ("--seed", "--budget", "--format")),
+         ("--seed", "--format")),
         ("jlambda", _cmd_jlambda, "Lebesgue-kernel Gaussian functional",
-         ("--budget", "--format")),
+         ("--format",)),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--set", required=True, help="E as JSON file")
@@ -225,9 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="s * perimeter sweep with extrapolation")
     p.add_argument("--set", required=True)
     p.add_argument("--omega", default=None)
-    p.add_argument("--s-list", type=_s_list, default=None,
+    p.add_argument("--s-list", type=_s_list,
+                   default=asymptotics.DEFAULT_S_LIST,
                    help="comma-separated decreasing s values")
-    _add_flags(p, "--seed", "--budget", "--format")
+    _add_flags(p, "--seed", "--format")
     p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("limit", help="closed-form small-s limit mu")

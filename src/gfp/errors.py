@@ -17,10 +17,6 @@ class OverlapError(GfpError):
     """Interaction operands are not (essentially) disjoint."""
 
 
-class BudgetExceededError(GfpError):
-    """Evaluation budget exhausted before reaching the error target."""
-
-
 class RestrictionMassError(GfpError):
     """Conditioning set has Gaussian mass too small for rejection sampling.
 

@@ -12,7 +12,9 @@ singularity to near machine precision.  Otherwise a Monte Carlo estimator
 draws x from the conditioned Gaussian on A and y from an equal-weight
 mixture of the conditioned Gaussian on B and a radially concentrated
 shell proposal around x, which keeps the variance finite despite the
-near-diagonal kernel blow-up.
+near-diagonal kernel blow-up.  Each Monte Carlo estimate takes a fixed
+_N_PAIRS draws; the 1-D meshes are reduced block by block, so no cap on
+the work is needed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import sets
-from .errors import BudgetExceededError, OverlapError
+from .errors import OverlapError
 from .measure import (_SQRT2, _rng, gamma_fn, gauss_measure, sample_gaussian,
                       std_normal_cdf)
 from .mehler import (_BLOCK, kernel_batch, kernel_sums,
@@ -41,43 +43,23 @@ _SHELL_R_LO = 1e-6
 _N_PAIRS = 200_000  # Monte Carlo pairs per estimate
 
 
-@dataclass
-class Budget:
-    """Kernel-evaluation budget; deterministic substitute for wall-clock."""
-
-    max_evals: int = 10 ** 8
-    used: int = 0
-
-    def charge(self, n: int) -> None:
-        if self.used + n > self.max_evals:
-            raise BudgetExceededError(
-                f"budget of {self.max_evals} kernel evaluations exhausted "
-                f"({self.used} used, {n} requested)"
-            )
-        self.used += n
-
-    @property
-    def remaining(self) -> int:
-        return max(0, self.max_evals - self.used)
-
-
 @dataclass(frozen=True)
 class InteractionEstimate:
     value: float
     error: float
-    method: str  # "graded-quadrature-1d" | "monte-carlo" | "hybrid"
+    method: str  # "graded-quadrature-1d" | "monte-carlo"
     samples_or_cells: int
 
     def __add__(self, other: "InteractionEstimate") -> "InteractionEstimate":
-        # an operand that did no work (an empty piece) leaves the tag alone
+        # the pieces of one perimeter share a dimension, hence a route; an
+        # operand that did no work (an empty piece) leaves the tag alone
         if not other.samples_or_cells:
             return self
         if not self.samples_or_cells:
             return other
-        method = self.method if self.method == other.method else "hybrid"
         return InteractionEstimate(
             self.value + other.value, self.error + other.error,
-            method, self.samples_or_cells + other.samples_or_cells,
+            self.method, self.samples_or_cells + other.samples_or_cells,
         )
 
 
@@ -250,7 +232,7 @@ def _euclidean_sums(s_values, *, n_pairs, pairs):
     return value, value * 1e-14
 
 
-def _quadrature_1d(a: SetExpr, b: SetExpr, s_values, budget, lam=False):
+def _quadrature_1d(a: SetExpr, b: SetExpr, s_values, lam=False):
     """Graded tensor quadrature for disjoint 1-D operands.
 
     One estimate per s: each tensor grid is summed for every s in one
@@ -280,7 +262,6 @@ def _quadrature_1d(a: SetExpr, b: SetExpr, s_values, budget, lam=False):
     cells_b = _mesh_cells(clip_b, clip_a)
     grids = [_grid_pairs(cells_a, cells_b, density, order)
              for order in (_GL_ORDER, 4)]
-    budget.charge(len(s_values) * sum(n for n, _ in grids))
     if lam:
         far = [r_trunc ** (-(1.0 + s)) * 4.0 for s in s_values]
         const = [1.0] * len(s_values)
@@ -367,33 +348,31 @@ def interaction(
     b: SetExpr,
     s: float,
     *,
-    budget: Budget | None = None,
     seed: int = 0,
     dim: int | None = None,
 ) -> InteractionEstimate:
     """Interaction energy of disjoint sets under the subordinated kernel of index s."""
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0,1), got {s}")
-    budget = budget if budget is not None else Budget()
     n_dim = _operand_dim(a, b, dim)
 
     if n_dim == 1:
-        return _quadrature_1d(a, b, (s,), budget)[0]
+        return _quadrature_1d(a, b, (s,))[0]
 
-    # an Empty operand has closed-form mass 0: no probe, no budget charge
+    # an Empty operand has closed-form mass 0: no probe, no draws
     mass_a = gauss_measure(a, dim=n_dim, seed=seed ^ 0xA)
     mass_b = gauss_measure(b, dim=n_dim, seed=seed ^ 0xB)
     if mass_a.value == 0.0 or mass_b.value == 0.0:
         return ZERO_ESTIMATE
     _check_disjoint_mc(a, b, n_dim, seed)
-    return _interaction_mc(a, b, s, budget, seed, n_dim, mass_a, mass_b)
+    return _interaction_mc(a, b, s, seed, n_dim, mass_a, mass_b)
 
 
 def _sphere_surface(n_dim: int) -> float:
     return 2.0 * math.pi ** (n_dim / 2.0) / gamma_fn(n_dim / 2.0)
 
 
-def _interaction_mc(a, b, sigma, budget, seed, n_dim, mass_a, mass_b):
+def _interaction_mc(a, b, sigma, seed, n_dim, mass_a, mass_b):
     """Mixture importance sampling of the pair integral.
 
     x ~ gamma|_A.  y from an equal mixture of gamma|_B and a shell around
@@ -401,10 +380,7 @@ def _interaction_mc(a, b, sigma, budget, seed, n_dim, mass_a, mass_b):
     soaks up the near-diagonal kernel mass so the weighted integrand has
     finite variance even for touching operands).
     """
-    n = min(_N_PAIRS, budget.remaining)
-    if n < 1000:
-        raise BudgetExceededError("fewer than 1000 Monte Carlo pairs left in budget")
-    budget.charge(n)
+    n = _N_PAIRS
     idx, sq, rsq, gauss_pdf_y, q = _mixture_pairs(a, b, sigma, seed, n,
                                                   n_dim, mass_b.value)
     weighted = np.zeros(n)
@@ -475,14 +451,12 @@ def perimeter(
     omega: SetExpr,
     s: float,
     *,
-    budget: Budget | None = None,
     seed: int = 0,
     dim: int | None = None,
 ) -> PerimeterBreakdown:
     """Three-term fractional perimeter of E relative to the window Omega."""
-    budget = budget if budget is not None else Budget()
     return PerimeterBreakdown(*(
-        interaction(pa, pb, s, budget=budget, seed=seed, dim=dim)
+        interaction(pa, pb, s, seed=seed, dim=dim)
         for pa, pb in _three_pieces(e, omega)
     ))
 
@@ -492,7 +466,6 @@ def j_lambda(
     omega: SetExpr,
     s: float,
     *,
-    budget: Budget | None = None,
     dim: int | None = None,
 ) -> PerimeterBreakdown:
     """Euclidean-kernel competitor functional under the weighted measure.
@@ -504,12 +477,11 @@ def j_lambda(
     """
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0,1), got {s}")
-    budget = budget if budget is not None else Budget()
     parts = []
     for pa, pb in _three_pieces(e, omega):
         if _operand_dim(pa, pb, dim) != 1:
             raise NotImplementedError("j_lambda is implemented for N = 1")
-        parts.extend(_quadrature_1d(pa, pb, (s,), budget, lam=True))
+        parts.extend(_quadrature_1d(pa, pb, (s,), lam=True))
     return PerimeterBreakdown(*parts)
 
 
@@ -522,7 +494,6 @@ def seminorm_sq_direct(
     s: float,
     *,
     dim: int = 1,
-    budget: Budget | None = None,
     seed: int = 0,
 ) -> InteractionEstimate:
     """Squared Gaussian-Sobolev seminorm by the double integral, index s.
@@ -537,17 +508,12 @@ def seminorm_sq_direct(
     """
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0,1), got {s}")
-    budget = budget if budget is not None else Budget()
     if isinstance(u, sets.SetExpr):
-        est = interaction(u, sets.complement(u), 2.0 * s, budget=budget,
-                          seed=seed, dim=dim)
+        est = interaction(u, sets.complement(u), 2.0 * s, seed=seed, dim=dim)
         return InteractionEstimate(
             2.0 * est.value, 2.0 * est.error, est.method, est.samples_or_cells
         )
-    n = min(_N_PAIRS, budget.remaining)
-    if n < 1000:
-        raise BudgetExceededError("fewer than 1000 Monte Carlo pairs left in budget")
-    budget.charge(n)
+    n = _N_PAIRS
     x = sample_gaussian(n, seed=seed, dim=dim, stream=5)
     y = sample_gaussian(n, seed=seed, dim=dim, stream=6)
     du = np.asarray(u(x), dtype=float) - np.asarray(u(y), dtype=float)

@@ -62,20 +62,6 @@ def _mehler_coeffs(t: float, n_dim: int) -> tuple[float, float, float]:
     return -0.5 * n_dim * math.log(em), -a / (2.0 * em), a / (2.0 * (1.0 + a))
 
 
-def mehler(t: float, x, y) -> float:
-    """Transition kernel M_t(x,y); stable down to t ~ 1e-300 and up to t -> inf."""
-    if not t > 0:
-        raise ValueError(f"mehler requires t > 0, got {t}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise ValueError("x and y must share a dimension")
-    d = x - y
-    lp, c_r, c_s = _mehler_coeffs(t, x.size)
-    expo = lp + c_r * (d @ d) + c_s * (x @ x + y @ y)
-    return math.exp(max(expo, _LOG_SAFE_MIN))
-
-
 def semigroup_mass(t: float, x, order: int = 160) -> float:
     """Gauss-Hermite value of int M_t(x, .) dgamma; equals 1 analytically."""
     if not t > 0:

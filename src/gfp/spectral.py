@@ -1,14 +1,14 @@
-"""Hermite machinery in L^2 of the Gaussian measure.
+"""Hermite machinery in L^2 of the 1-D Gaussian measure.
 
 The orthonormal eigenbasis of the (negative) Ornstein-Uhlenbeck operator
-consists of probabilists' Hermite polynomials scaled by 1/sqrt(alpha!);
-the eigenvalue of a basis element is its total degree.  On top of the
-expansion we get the spectral form of the squared Sobolev seminorm,
+consists of probabilists' Hermite polynomials h_n = He_n / sqrt(n!), with
+eigenvalue n.  On top of the expansion we get the spectral form of the
+squared Sobolev seminorm,
 
-    s [u]_s^2 = 2 Gamma(1-s) sum_{|alpha|>=1} |alpha|^s c_alpha^2,
+    s [u]_s^2 = 2 Gamma(1-s) sum_{n>=1} n^s c_n^2,
 
 its explicit small-s limit 2(||u||^2 - c_0^2), and the fractional
-operator acting diagonally with factor |Gamma(-s)| |alpha|^s.
+operator acting diagonally with factor |Gamma(-s)| n^s.
 
 Indicator coefficients come from the exact endpoint identity
 int_a^inf He_n dgamma = He_{n-1}(a) phi(a) (phi the 1-D Gaussian
@@ -24,11 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sets
-from .errors import DimensionMismatchError
 from .measure import (_gauss_rule, abs_gamma_neg, gamma_fn, std_normal_cdf,
                       std_normal_pdf)
 
-_DEGREE_CAP = 200          # per-coordinate cap for pointwise evaluation
 _QUAD_EXPAND_CAP = 500     # beyond this, quadrature expansion is refused
 
 
@@ -50,60 +48,17 @@ def _normalized_hermite_series(x: float, n_max: int) -> np.ndarray:
     return h
 
 
-def hermite_value(alpha, x) -> float:
-    """Orthonormal Hermite basis element at a point: prod_i He_{a_i}(x_i)/sqrt(a_i!)."""
-    alpha = tuple(int(a) for a in np.atleast_1d(alpha))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if len(alpha) != x.size:
-        raise DimensionMismatchError("multi-index and point dimensions differ")
-    if any(a < 0 for a in alpha):
-        raise ValueError("multi-index entries must be nonnegative")
-    if any(a > _DEGREE_CAP for a in alpha):
-        raise ValueError(f"per-coordinate degree cap {_DEGREE_CAP} exceeded")
-    out = 1.0
-    for a, xi in zip(alpha, x):
-        out *= _normalized_hermite_series(xi, a)[a]
-    return out
-
-
 @dataclass(frozen=True)
 class HermiteExpansion:
-    """Truncated coefficient table against the orthonormal Hermite basis.
+    """Truncated 1-D coefficient table against the orthonormal Hermite basis.
 
-    ``alphas`` has shape (M, N); ``coeffs`` shape (M,).  ``tail_bound``
-    estimates the squared mass sum of the discarded modes, obtained as
-    the Parseval defect against an independently computed norm.
+    ``coeffs[n]`` belongs to h_n = He_n / sqrt(n!), whose eigenvalue is n.
+    ``tail_bound`` estimates the squared mass sum of the discarded modes,
+    obtained as the Parseval defect against an independently computed norm.
     """
 
-    dimension: int
-    degree: int
-    alphas: np.ndarray
     coeffs: np.ndarray
-    tail_bound: float
-
-    def __post_init__(self):
-        if self.alphas.shape != (self.coeffs.size, self.dimension):
-            raise ValueError("alphas/coeffs shape mismatch")
-
-    @property
-    def total_degrees(self) -> np.ndarray:
-        return self.alphas.sum(axis=1)
-
-    def coefficient(self, alpha) -> float:
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=int))
-        hit = np.all(self.alphas == alpha, axis=1)
-        return float(self.coeffs[hit].sum())
-
-    @classmethod
-    def from_coefficients(cls, entries: dict, dimension: int,
-                          tail_bound: float = 0.0) -> "HermiteExpansion":
-        """Build from {multi-index tuple: coefficient}."""
-        alphas = np.array([list(np.atleast_1d(a)) for a in entries], dtype=int)
-        if alphas.size == 0:
-            alphas = alphas.reshape(0, dimension)
-        coeffs = np.array([entries[a] for a in entries], dtype=float)
-        degree = int(alphas.sum(axis=1).max()) if coeffs.size else 0
-        return cls(dimension, degree, alphas, coeffs, tail_bound)
+    tail_bound: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -129,26 +84,21 @@ def _indicator_coefficients(ivs, degree: int) -> np.ndarray:
     return coeffs
 
 
-def expand(u, degree: int, dim: int = 1) -> HermiteExpansion:
-    """Hermite coefficients of a function or indicator up to total degree.
+def expand(u, degree: int) -> HermiteExpansion:
+    """Hermite coefficients of a 1-D function or indicator up to ``degree``.
 
     Interval-union indicators use the exact endpoint identity (any degree);
     callables use Gauss-Hermite quadrature of order >= 2*degree, refused
     above degree 500 where oscillatory integrands defeat quadrature.
-    1-D only; higher-dimensional expansions are assembled via
-    ``HermiteExpansion.from_coefficients``.
     """
-    if dim != 1:
-        raise NotImplementedError("expand supports N = 1")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    alphas = np.arange(degree + 1, dtype=int).reshape(-1, 1)
     if isinstance(u, sets.SetExpr):
         ivs = sets.to_intervals(u)
         coeffs = _indicator_coefficients(ivs, degree)
         norm_sq = float(coeffs[0])  # indicator: ||u||^2 = gamma(E) = c_0
         tail = max(norm_sq - float(coeffs @ coeffs), 0.0)
-        return HermiteExpansion(1, degree, alphas, coeffs, tail)
+        return HermiteExpansion(coeffs, tail)
     if degree > _QUAD_EXPAND_CAP:
         raise ValueError(
             f"quadrature expansion refused above degree {_QUAD_EXPAND_CAP}; "
@@ -160,7 +110,7 @@ def expand(u, degree: int, dim: int = 1) -> HermiteExpansion:
     coeffs = table.T @ (weights * vals)
     norm_sq = float(weights @ vals ** 2)
     tail = max(norm_sq - float(coeffs @ coeffs), 0.0)
-    return HermiteExpansion(1, degree, alphas, coeffs, tail)
+    return HermiteExpansion(coeffs, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +127,7 @@ class SpectralSeminorm:
 def spectral_seminorm_sq(exp: HermiteExpansion, s: float) -> SpectralSeminorm:
     """Squared seminorm from the eigenvalue series.
 
-    value = (2 Gamma(1-s) / s) sum_{|alpha|>=1} |alpha|^s c_alpha^2.
+    value = (2 Gamma(1-s) / s) sum_{n>=1} n^s c_n^2.
     The truncation term estimates the missing (2 Gamma(1-s) / s)
     sum_{n>N} n^s c_n^2 from the Parseval defect R_N = sum_{n>N} c_n^2.
     For s < 1/2 it assumes the decay of an indicator, c_n^2 ~ n^(-3/2):
@@ -192,11 +142,10 @@ def spectral_seminorm_sq(exp: HermiteExpansion, s: float) -> SpectralSeminorm:
     """
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0,1), got {s}")
-    deg = exp.total_degrees
-    pos = deg >= 1
-    series = float(np.sum(deg[pos] ** float(s) * exp.coeffs[pos] ** 2))
+    deg = np.arange(exp.coeffs.size)
+    series = float(np.sum(deg[1:] ** float(s) * exp.coeffs[1:] ** 2))
     pref = 2.0 * gamma_fn(1.0 - s) / s
-    first = float(exp.degree + 1)
+    first = float(exp.coeffs.size)   # the first discarded degree
     trunc = pref * exp.tail_bound * first ** s
     if s < 0.5:
         trunc *= (1.0 + first ** -0.5) / (1.0 - 2.0 * s)
@@ -205,22 +154,18 @@ def spectral_seminorm_sq(exp: HermiteExpansion, s: float) -> SpectralSeminorm:
 
 def ms_limit(exp: HermiteExpansion) -> float:
     """Small-s limit of s times the squared seminorm: 2(||u||^2 - c_0^2)."""
-    deg = exp.total_degrees
-    pos = deg >= 1
-    return 2.0 * (float(exp.coeffs[pos] @ exp.coeffs[pos]) + exp.tail_bound)
+    c = exp.coeffs[1:]
+    return 2.0 * (float(c @ c) + exp.tail_bound)
 
 
 def apply_frac_ou(exp: HermiteExpansion, s: float) -> HermiteExpansion:
     """Fractional Ornstein-Uhlenbeck operator acting diagonally.
 
-    c_alpha -> |Gamma(-s)| |alpha|^s c_alpha for |alpha| >= 1; the constant
-    mode (eigenvalue 0) is annihilated.
+    c_n -> |Gamma(-s)| n^s c_n; the constant mode (eigenvalue 0) is
+    annihilated.
     """
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0,1), got {s}")
-    deg = exp.total_degrees
-    factor = np.where(deg >= 1, abs_gamma_neg(s) * deg.astype(float) ** s, 0.0)
-    tail = exp.tail_bound * (abs_gamma_neg(s) * float(exp.degree + 1) ** s) ** 2
-    return HermiteExpansion(
-        exp.dimension, exp.degree, exp.alphas, exp.coeffs * factor, tail
-    )
+    factor = abs_gamma_neg(s) * np.arange(exp.coeffs.size, dtype=float) ** s
+    tail = exp.tail_bound * (abs_gamma_neg(s) * float(exp.coeffs.size) ** s) ** 2
+    return HermiteExpansion(exp.coeffs * factor, tail)

@@ -1,5 +1,6 @@
 """Limit functional, extrapolation sweep and the set-function properties."""
 
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from gfp import sets
 from gfp.asymptotics import (
-    SweepResult,
     _fit_small_s,
     additivity_defect,
     beta_sequence,
@@ -21,8 +21,8 @@ from gfp.asymptotics import (
     sweep,
     sweep_row_lower_bound,
 )
-from gfp.errors import BudgetExceededError, OverlapError
-from gfp.interaction import Budget, interaction, perimeter
+from gfp.errors import OverlapError
+from gfp.interaction import interaction, perimeter
 from gfp.measure import gauss_measure, std_normal_cdf
 
 HALF = sets.IntervalUnion(intervals=((0.0, math.inf),))
@@ -120,30 +120,29 @@ def test_sweep_rows_cover_mpmath_references():
 
 def test_sweep_rows_equal_single_rows_and_their_budget():
     # one kernel pass for every s must give each row's single-s
-    # perimeter, and charge the budget what the rows charge together
+    # perimeter, value and error bar
     e = sets.complement(sets.IntervalUnion(intervals=((-0.5, 0.5),)))
     omega = sets.IntervalUnion(intervals=((0.0, 2.0),))
-    budget = Budget()
-    res = sweep(e, omega, SWEEP_S, budget=budget, dim=1)
-    used = 0
+    res = sweep(e, omega, SWEEP_S, dim=1)
     for s, value, error in zip(res.s_values, res.values, res.errors):
-        row_budget = Budget()
-        row = perimeter(e, omega, s, budget=row_budget, dim=1).total
-        used += row_budget.used
+        row = perimeter(e, omega, s, dim=1).total
         assert value == pytest.approx(s * row.value, rel=1e-13)
         assert error == pytest.approx(s * row.error, rel=1e-6)
-    assert budget.used == used
-    with pytest.raises(BudgetExceededError):
-        sweep(e, omega, SWEEP_S, budget=Budget(used // len(SWEEP_S) - 1),
-              dim=1)
 
 
 def test_sweep_serialization_roundtrip():
     res = sweep(sets.Empty(), s_list=[0.5, 0.25, 0.125, 0.0625], dim=1)
-    back = SweepResult.from_json(res.to_json())
-    np.testing.assert_array_equal(back.s_values, res.s_values)
-    np.testing.assert_array_equal(back.values, res.values)
-    assert back.extrapolated_limit == res.extrapolated_limit
+    doc = json.loads(res.to_json())
+    rows = doc["rows"]
+    assert [r["s"] for r in rows] == list(res.s_values)
+    assert [r["value"] for r in rows] == list(res.values)
+    assert [r["error"] for r in rows] == list(res.errors)
+    assert [r["method"] for r in rows] == list(res.methods)
+    assert doc["extrapolated_limit"] == res.extrapolated_limit
+    assert doc["uncertainty"] == res.uncertainty
+    assert [doc["fit"][k] for k in "abc"] == list(res.fit_coefficients)
+    assert doc["fit"]["residual"] == res.fit_residual
+    assert doc["divergence_suspected"] == res.divergence_suspected
     csv = res.to_csv()
     assert csv.splitlines()[0] == "s,value,error,method"
     assert len(csv.splitlines()) == 5

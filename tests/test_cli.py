@@ -113,9 +113,11 @@ def test_sweep_csv_shape_and_fit_block(half_json, tmp_path):
 
 
 def test_sweep_bad_s_list_is_usage_error(half_json):
-    with pytest.raises(SystemExit) as info:
-        main(["sweep", "--set", half_json, "--s-list", "0.5,1.5,0.25,0.1"])
-    assert info.value.code == 2
+    # an empty list must not fall back to the default grid
+    for s_list in ("0.5,1.5,0.25,0.1", ",", ""):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--set", half_json, "--s-list", s_list])
+        assert info.value.code == 2, s_list
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +128,13 @@ def test_spectral_mode_one_closed_form(capsys):
     assert main(["spectral", "--u", "h1", "--s", "0.25"]) == 0
     value = float(capsys.readouterr().out.split("value=")[1].split(" ")[0])
     assert 0.25 * value == pytest.approx(2.0 * math.gamma(0.75), rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["h-1", "hx", "h"])
+def test_spectral_bad_mode_is_usage_error(mode):
+    with pytest.raises(SystemExit) as info:
+        main(["spectral", "--u", mode, "--s", "0.25"])
+    assert info.value.code == 2
 
 
 def test_spectral_chi_requires_set():
@@ -179,6 +188,9 @@ def test_no_temp_files_left_behind(half_json, tmp_path):
     ["perimeter", "--set", "E", "--s", "0.5", "--tol", "1e-6"],
     ["sweep", "--set", "E", "--workers", "2"],
     ["example", "--pairs", "10", "--s", "0.5", "--format", "json"],
+    ["perimeter", "--set", "E", "--s", "0.5", "--budget", "5"],
+    ["jlambda", "--set", "E", "--s", "0.5", "--budget", "5"],
+    ["sweep", "--set", "E", "--budget", "5"],
 ])
 def test_unread_flag_is_usage_error(argv, half_json):
     argv = [half_json if a == "E" else a for a in argv]

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from gfp import sets
-from gfp.errors import BudgetExceededError, OverlapError
+from gfp.errors import OverlapError
 from gfp.interaction import (
-    Budget,
     _clip_intervals,
     interaction,
     j_lambda,
@@ -67,12 +66,6 @@ def test_interaction_empty_operand_is_zero():
 def test_interaction_s_domain():
     with pytest.raises(ValueError):
         interaction(UNIT, FAR, 1.5)
-
-
-def test_budget_is_enforced():
-    budget = Budget(max_evals=10)
-    with pytest.raises(BudgetExceededError):
-        interaction(UNIT, FAR, 0.5, budget=budget)
 
 
 def test_interaction_monotone_under_set_growth():
@@ -194,16 +187,28 @@ def _far_halfline_perimeter_mp(c, s):
     range of F(t) is tanh(t/2) > x^2, i.e. t > 2 artanh(x^2), so the
     time integral is done in closed form and leaves
     (2/(pi s)) int_0^1 e^(-c^2 (1 + x^2)/2) / (1 + x^2)
-    (2 artanh(x^2))^(-s/2) dx.
+    (2 artanh(x^2))^(-s/2) dx.  Its x^(-s) endpoint singularity defeats
+    mp.quad as s -> 1; x = u^(1/(1-s)) turns it into a smooth integrand.
     """
     with mp.workdps(25):
         c, s = mp.mpf(c), mp.mpf(s)
+        p = 1 / (1 - s)
 
-        def integrand(x):
-            return (mp.exp(-c * c * (1 + x * x) / 2) / (1 + x * x)
-                    * (2 * mp.atanh(x * x)) ** (-s / 2))
+        def integrand(u):
+            x = u ** p
+            return (p * u ** (p - 1) * mp.exp(-c * c * (1 + x * x) / 2)
+                    / (1 + x * x) * (2 * mp.atanh(x * x)) ** (-s / 2))
 
-        return float(2 / (mp.pi * s) * mp.quad(integrand, [0, 0.5, 1]))
+        return float(2 / (mp.pi * s)
+                     * mp.quad(integrand, [0, mp.mpf(0.5) ** (1 - s), 1]))
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.9, 0.99])
+def test_far_halfline_oracle_matches_sheppard_at_the_origin(s):
+    # at c = 0 both mpmath helpers compute P_s((0, inf); R) by different
+    # integrals; near s = 1 only a smooth integrand keeps mp.quad honest
+    assert _far_halfline_perimeter_mp(0.0, s) == pytest.approx(
+        _halfline_s_perimeter_mp(s) / s, rel=1e-14)
 
 
 @pytest.mark.parametrize("c", [8.5, 9.0])
@@ -231,11 +236,10 @@ def test_clipped_tail_mass_is_mirror_symmetric(scale, radius):
 
 def test_perimeter_skips_empty_pieces_in_higher_dimension():
     # over R^2 two of the three pieces have an empty operand: they must
-    # cost nothing, so the one real piece gets the whole budget
-    budget = Budget(200_000)
+    # cost nothing, so the total holds the one real piece's draws
     p = perimeter(sets.HalfSpace((1.0, 0.0), 0.3), sets.FullSpace(), 0.5,
-                  dim=2, budget=budget).total
-    assert budget.used == 200_000
+                  dim=2).total
+    assert p.samples_or_cells == 200_000
     assert p.method == "monte-carlo"
     assert p.value > 0
 

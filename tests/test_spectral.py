@@ -12,9 +12,9 @@ from gfp import sets
 from gfp.measure import gamma_fn, std_normal_cdf
 from gfp.spectral import (
     HermiteExpansion,
+    _normalized_hermite_series,
     apply_frac_ou,
     expand,
-    hermite_value,
     ms_limit,
     spectral_seminorm_sq,
 )
@@ -28,21 +28,10 @@ HALF = sets.IntervalUnion(intervals=((0.0, math.inf),))
 
 def test_low_degree_values():
     # h_0 = 1, h_1 = x, h_2 = (x^2 - 1)/sqrt(2)
-    assert hermite_value((0,), (0.7,)) == 1.0
-    assert hermite_value((1,), (0.7,)) == pytest.approx(0.7, rel=1e-15)
-    assert hermite_value((2,), (0.7,)) == pytest.approx(
-        (0.49 - 1.0) / math.sqrt(2.0), rel=1e-14)
-
-
-def test_tensor_factorization():
-    a, b = (3, 2), (0.4, -1.1)
-    assert hermite_value(a, b) == pytest.approx(
-        hermite_value((3,), (0.4,)) * hermite_value((2,), (-1.1,)), rel=1e-13)
-
-
-def test_degree_cap():
-    with pytest.raises(ValueError):
-        hermite_value((201,), (0.0,))
+    h = _normalized_hermite_series(0.7, 2)
+    assert h[0] == 1.0
+    assert h[1] == pytest.approx(0.7, rel=1e-15)
+    assert h[2] == pytest.approx((0.49 - 1.0) / math.sqrt(2.0), rel=1e-14)
 
 
 def test_orthonormality_under_gauss_hermite():
@@ -50,8 +39,7 @@ def test_orthonormality_under_gauss_hermite():
     z, w = hermgauss(64)
     nodes = math.sqrt(2.0) * z
     weights = w / math.sqrt(math.pi)
-    table = np.array([[hermite_value((n,), (x,)) for n in range(31)]
-                      for x in nodes])
+    table = np.array([_normalized_hermite_series(x, 30) for x in nodes])
     gram = table.T @ (weights[:, None] * table)
     np.testing.assert_allclose(gram, np.eye(31), atol=1e-10)
 
@@ -63,17 +51,17 @@ def test_orthonormality_under_gauss_hermite():
 def test_halfline_indicator_first_coefficients():
     # c_0 = 1/2, c_1 = phi(0) = 1/sqrt(2 pi), c_2 = 0 by the endpoint formula
     exp = expand(HALF, 6)
-    assert exp.coefficient((0,)) == pytest.approx(0.5, abs=1e-15)
-    assert exp.coefficient((1,)) == pytest.approx(1.0 / math.sqrt(2 * math.pi),
-                                                  rel=1e-14)
-    assert exp.coefficient((2,)) == pytest.approx(0.0, abs=1e-15)
+    assert exp.coeffs[0] == pytest.approx(0.5, abs=1e-15)
+    assert exp.coeffs[1] == pytest.approx(1.0 / math.sqrt(2 * math.pi),
+                                          rel=1e-14)
+    assert exp.coeffs[2] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_quadrature_expansion_of_smooth_function():
     # u(x) = x^2 = h_0 + sqrt(2) h_2: quadrature must nail both modes
     exp = expand(lambda x: x[:, 0] ** 2, 10)
-    assert exp.coefficient((0,)) == pytest.approx(1.0, rel=1e-12)
-    assert exp.coefficient((2,)) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert exp.coeffs[0] == pytest.approx(1.0, rel=1e-12)
+    assert exp.coeffs[2] == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert np.max(np.abs(np.delete(exp.coeffs, [0, 2]))) < 1e-12
 
 
@@ -81,8 +69,6 @@ def test_endpoint_formula_matches_dense_grid_integration():
     # direct trapezoid integration of h_n against the interval indicator;
     # Gauss-Hermite is the wrong tool for a discontinuous integrand, a
     # dense grid restricted to the interval is exact enough for small n
-    from gfp.spectral import _normalized_hermite_series
-
     e = sets.IntervalUnion(intervals=((-0.5, 1.5),))
     exact = expand(e, 10)
     x = np.linspace(-0.5, 1.5, 400_001)
@@ -117,7 +103,7 @@ def test_quadrature_expansion_refused_at_large_degree():
 def test_expand_general_interval_mass():
     e = sets.IntervalUnion(intervals=((1.0, 2.0),))
     exp = expand(e, 500)
-    assert exp.coefficient((0,)) == pytest.approx(
+    assert exp.coeffs[0] == pytest.approx(
         std_normal_cdf(2.0) - std_normal_cdf(1.0), abs=1e-15)
 
 
@@ -126,7 +112,7 @@ def test_expand_general_interval_mass():
 # ---------------------------------------------------------------------------
 
 def h1_expansion():
-    return HermiteExpansion.from_coefficients({(1,): 1.0}, 1)
+    return HermiteExpansion(np.array([0.0, 1.0]))
 
 
 def test_seminorm_single_mode_closed_form():
@@ -140,7 +126,7 @@ def test_seminorm_single_mode_closed_form():
 
 
 def test_seminorm_of_constants_vanishes():
-    const = HermiteExpansion.from_coefficients({(0,): 1.0}, 1)
+    const = HermiteExpansion(np.array([1.0]))
     assert spectral_seminorm_sq(const, 0.3).value == 0.0
     assert ms_limit(const) == 0.0
 
@@ -161,7 +147,7 @@ def test_ms_limit_is_the_small_s_seminorm_limit():
 
 
 def test_apply_frac_ou_annihilates_constants():
-    const = HermiteExpansion.from_coefficients({(0,): 2.5}, 1)
+    const = HermiteExpansion(np.array([2.5]))
     out = apply_frac_ou(const, 0.5)
     assert np.all(out.coeffs == 0.0)
 
@@ -169,8 +155,8 @@ def test_apply_frac_ou_annihilates_constants():
 def test_apply_frac_ou_mode_one_coefficient():
     # |Gamma(-1/2)| * 1^s = 2 sqrt(pi)
     out = apply_frac_ou(h1_expansion(), 0.5)
-    assert out.coefficient((1,)) == pytest.approx(2.0 * math.sqrt(math.pi),
-                                                  rel=1e-14)
+    assert out.coeffs[1] == pytest.approx(2.0 * math.sqrt(math.pi),
+                                          rel=1e-14)
 
 
 def test_pairing_identity():

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -352,6 +352,11 @@ def interaction(
     dim: int | None = None,
 ) -> InteractionEstimate:
     """Interaction energy of disjoint sets under the subordinated kernel of index s."""
+    return _interaction(a, b, s, seed, dim, gauss_measure)
+
+
+def _interaction(a, b, s, seed, dim, measure):
+    """interaction, with the Gaussian measure of each operand by ``measure``."""
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0,1), got {s}")
     n_dim = _operand_dim(a, b, dim)
@@ -360,8 +365,8 @@ def interaction(
         return _quadrature_1d(a, b, (s,))[0]
 
     # an Empty operand has closed-form mass 0: no probe, no draws
-    mass_a = gauss_measure(a, dim=n_dim, seed=seed ^ 0xA)
-    mass_b = gauss_measure(b, dim=n_dim, seed=seed ^ 0xB)
+    mass_a = measure(a, dim=n_dim, seed=seed ^ 0xA)
+    mass_b = measure(b, dim=n_dim, seed=seed ^ 0xB)
     if mass_a.value == 0.0 or mass_b.value == 0.0:
         return ZERO_ESTIMATE
     _check_disjoint_mc(a, b, n_dim, seed)
@@ -455,8 +460,11 @@ def perimeter(
     dim: int | None = None,
 ) -> PerimeterBreakdown:
     """Three-term fractional perimeter of E relative to the window Omega."""
+    # pieces 1-2 share E & Omega and pieces 1 and 3 share E^c & Omega, each
+    # measured with the same seed: measure every distinct operand once
+    measure = cache(gauss_measure)
     return PerimeterBreakdown(*(
-        interaction(pa, pb, s, seed=seed, dim=dim)
+        _interaction(pa, pb, s, seed, dim, measure)
         for pa, pb in _three_pieces(e, omega)
     ))
 

@@ -225,9 +225,8 @@ def sample_gaussian(
     rng = _rng(seed, stream)
     out = np.empty((n, dim), dtype=float)
     filled = 0
-    batch = 4096
-    while filled < n:
-        draw = rng.standard_normal((batch, dim))
+    while filled < n:  # the normal stream does not depend on the batch size
+        draw = rng.standard_normal((_COUNT_BLOCK, dim))
         if restrict is not None:
             draw = draw[sets.contains(restrict, draw)]
         take = min(n - filled, draw.shape[0])

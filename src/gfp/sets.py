@@ -163,8 +163,10 @@ def _contains(expr: SetExpr, x: np.ndarray) -> np.ndarray:
         d = x - np.asarray(expr.center)
         return np.einsum("...i,...i->...", d, d) < expr.radius ** 2
     if isinstance(expr, Box):
-        lo, hi = np.asarray(expr.lo), np.asarray(expr.hi)
-        return np.all((x > lo) & (x < hi), axis=-1)
+        out = np.ones(x.shape[:-1], dtype=bool)
+        for k, (lo, hi) in enumerate(zip(expr.lo, expr.hi)):
+            out &= (x[..., k] > lo) & (x[..., k] < hi)
+        return out
     if isinstance(expr, IntervalUnion):
         t = x[..., 0]
         out = np.zeros(t.shape, dtype=bool)

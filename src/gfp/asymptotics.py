@@ -100,18 +100,15 @@ class SweepResult:
 def mu_limit(e: sets.SetExpr, omega: sets.SetExpr = sets.FullSpace(),
              dim: int = 1, seed: int = 0) -> LimitValue:
     """mu(E; Omega) = 2[g(E)g(Omega\\E) + g(E&Omega)g(E^c&Omega^c)]."""
-    ec = sets.complement(e)
-    oc = sets.complement(omega)
-    parts = (
-        gauss_measure(e, dim=dim, seed=seed),
-        gauss_measure(sets.Difference(omega, e), dim=dim, seed=seed),
-        gauss_measure(sets.Intersection(e, omega), dim=dim, seed=seed),
-        gauss_measure(sets.Intersection(ec, oc), dim=dim, seed=seed),
-    )
+    ec, oc = sets.complement(e), sets.complement(omega)
+    # sets.intersect drops a FullSpace window, so that its pieces keep
+    # their closed-form masses
+    parts = tuple(gauss_measure(p, dim=dim, seed=seed) for p in (
+        e, sets.intersect(omega, ec), sets.intersect(e, omega),
+        sets.intersect(ec, oc)))
     g_e, g_omega_less_e, g_e_in, g_out = (p.value for p in parts)
     mu = 2.0 * (g_e * g_omega_less_e + g_e_in * g_out)
-    se = (p.std_error for p in parts)
-    s1, s2, s3, s4 = se
+    s1, s2, s3, s4 = (p.std_error for p in parts)
     err = 2.0 * math.sqrt(
         (g_omega_less_e * s1) ** 2 + (g_e * s2) ** 2
         + (g_out * s3) ** 2 + (g_e_in * s4) ** 2

@@ -5,16 +5,14 @@ three-term fractional perimeter of a set inside a window, the weighted
 Euclidean-kernel competitor functional, and the direct double-integral
 Sobolev seminorm.
 
-Two routes.  In one dimension both operands reduce exactly to interval
-unions and a tensor Gauss-Legendre rule on a mesh geometrically graded
-toward every near-contact endpoint integrates the |x-y|^(-1-s)-type
-singularity to near machine precision.  Otherwise a Monte Carlo estimator
-draws x from the conditioned Gaussian on A and y from an equal-weight
-mixture of the conditioned Gaussian on B and a radially concentrated
-shell proposal around x, which keeps the variance finite despite the
-near-diagonal kernel blow-up.  Each Monte Carlo estimate takes a fixed
-_N_PAIRS draws; the 1-D meshes are reduced block by block, so no cap on
-the work is needed.
+In one dimension, and for a half-space against its complement in any,
+both operands reduce to interval unions and a tensor Gauss-Legendre rule
+on a mesh graded toward every near-contact endpoint integrates the
+|x-y|^(-1-s) singularity to near machine precision.  Other N-D operands
+take _N_PAIRS Monte Carlo pairs: x from the conditioned Gaussian on A, y
+from an equal mixture of the conditioned Gaussian on B and a shell
+around x, which keeps the variance finite near the diagonal.  Callable
+seminorms use tensor Gauss-Hermite in space and log-time panels in time.
 """
 
 from __future__ import annotations
@@ -28,10 +26,10 @@ from numpy.polynomial.legendre import leggauss
 
 from . import sets
 from .errors import OverlapError
-from .measure import (_SQRT2, _rng, gamma_fn, gauss_measure, sample_gaussian,
-                      std_normal_cdf)
-from .mehler import (_BLOCK, kernel_batch, kernel_sums,
-                     kernel_upper_bound_radial)
+from .measure import (_SQRT2, _rng, _tensor_rule, gamma_fn, gauss_measure,
+                      sample_gaussian, std_normal_cdf)
+from .mehler import (_BLOCK, _TAIL_TIME, kernel_batch, kernel_sums,
+                     kernel_upper_bound_radial, log_time_panels)
 from .sets import SetExpr
 
 R_TRUNC_GAUSS = 8.6    # gamma mass beyond ~ 4e-18
@@ -41,13 +39,15 @@ _H_MAX = 0.25
 _GL_ORDER = 8
 _SHELL_R_LO = 1e-6
 _N_PAIRS = 200_000  # Monte Carlo pairs per estimate
+_HERMITE_ORDERS = {1: (32, 24), 2: (8, 6), 3: (6, 4)}  # rule, check; N = 1-3
+_T0 = 1e-12  # callable seminorms: g(t) is linear in t below it
 
 
 @dataclass(frozen=True)
 class InteractionEstimate:
     value: float
     error: float
-    method: str  # "graded-quadrature-1d" | "monte-carlo"
+    method: str  # "graded-quadrature-1d" | "monte-carlo" | "gauss-hermite"
     samples_or_cells: int
 
     def __add__(self, other: "InteractionEstimate") -> "InteractionEstimate":
@@ -315,13 +315,24 @@ def _check_disjoint_mc(a, b, dim, seed):
 
 def _intervals_1d(a: SetExpr, b: SetExpr):
     """Both operands as interval unions; None if either is empty."""
-    ivs_a = sets.to_intervals(a)
-    ivs_b = sets.to_intervals(b)
+    ivs_a, ivs_b = sets.to_intervals(a), sets.to_intervals(b)
     if not ivs_a or not ivs_b:
         return None
     if sets._intersect_1d(ivs_a, ivs_b):
         raise OverlapError("operands overlap (nonempty interval intersection)")
     return ivs_a, ivs_b
+
+
+def _on_the_normal(a: SetExpr, b: SetExpr):
+    """A half-space and its complement as the 1-D pair along the normal, else
+    None.  The Mehler kernel is a product over coordinates whose factors
+    integrate to 1, so their interaction only sees x.n."""
+    h = a if isinstance(a, sets.HalfSpace) else b
+    if not (isinstance(h, sets.HalfSpace) and sets.Complement(h) in (a, b)):
+        return None
+    line = sets.HalfSpace((1.0,), h.offset)
+    pair = (line, sets.Complement(line))
+    return pair if h is a else pair[::-1]
 
 
 def _three_pieces(e: SetExpr, omega: SetExpr):
@@ -330,8 +341,7 @@ def _three_pieces(e: SetExpr, omega: SetExpr):
     (E & Omega, E^c & Omega), (E & Omega, E^c & Omega^c) and
     (E & Omega^c, E^c & Omega), in the order of PerimeterBreakdown.
     """
-    ec = sets.complement(e)
-    oc = sets.complement(omega)
+    ec, oc = sets.complement(e), sets.complement(omega)
     e_in = sets.intersect(e, omega)
     ec_in = sets.intersect(ec, omega)
     return [(e_in, ec_in),
@@ -343,14 +353,8 @@ def _three_pieces(e: SetExpr, omega: SetExpr):
 # interaction
 # ---------------------------------------------------------------------------
 
-def interaction(
-    a: SetExpr,
-    b: SetExpr,
-    s: float,
-    *,
-    seed: int = 0,
-    dim: int | None = None,
-) -> InteractionEstimate:
+def interaction(a: SetExpr, b: SetExpr, s: float, *, seed: int = 0,
+                dim: int | None = None) -> InteractionEstimate:
     """Interaction energy of disjoint sets under the subordinated kernel of index s."""
     return _interaction(a, b, s, seed, dim, gauss_measure)
 
@@ -360,9 +364,9 @@ def _interaction(a, b, s, seed, dim, measure):
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0,1), got {s}")
     n_dim = _operand_dim(a, b, dim)
-
-    if n_dim == 1:
-        return _quadrature_1d(a, b, (s,))[0]
+    line = _on_the_normal(a, b) if n_dim > 1 else None
+    if n_dim == 1 or line:
+        return _quadrature_1d(*(line or (a, b)), (s,))[0]
 
     # an Empty operand has closed-form mass 0: no probe, no draws
     mass_a = measure(a, dim=n_dim, seed=seed ^ 0xA)
@@ -371,10 +375,6 @@ def _interaction(a, b, s, seed, dim, measure):
         return ZERO_ESTIMATE
     _check_disjoint_mc(a, b, n_dim, seed)
     return _interaction_mc(a, b, s, seed, n_dim, mass_a, mass_b)
-
-
-def _sphere_surface(n_dim: int) -> float:
-    return 2.0 * math.pi ** (n_dim / 2.0) / gamma_fn(n_dim / 2.0)
 
 
 def _interaction_mc(a, b, sigma, seed, n_dim, mass_a, mass_b):
@@ -418,7 +418,9 @@ def _mixture_pairs(a, b, sigma, seed, n, n_dim, mass_b):
     radii = (c - u * (c - 1.0)) ** (-1.0 / sigma)
     dirs = rng.standard_normal((n, n_dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    norm = (c - 1.0) / sigma
+    # the shell's radial law on [r_lo, 1] times the unit sphere's area
+    area = 2.0 * math.pi ** (n_dim / 2.0) / gamma_fn(n_dim / 2.0)
+    norm = (c - 1.0) / sigma * area
     live_pairs = []
     for lo in range(0, n, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
@@ -427,15 +429,11 @@ def _mixture_pairs(a, b, sigma, seed, n, n_dim, mass_b):
                      y_gauss[blk])
         in_b = sets.contains(b, y)
         gauss_pdf_y = (2.0 * math.pi) ** (-n_dim / 2.0) * np.exp(
-            -0.5 * np.einsum("ij,ij->i", y, y)
-        )
+            -0.5 * np.einsum("ij,ij->i", y, y))
         r = np.linalg.norm(y - xb, axis=1)
         shell_ok = (r > _SHELL_R_LO) & (r < 1.0)
         radial_pdf = np.zeros(r.size)
-        radial_pdf[shell_ok] = (
-            r[shell_ok] ** (-1.0 - sigma) / norm
-            / (_sphere_surface(n_dim) * r[shell_ok] ** (n_dim - 1))
-        )
+        radial_pdf[shell_ok] = r[shell_ok] ** (-n_dim - sigma) / norm
         q = 0.5 * gauss_pdf_y * in_b / mass_b + 0.5 * radial_pdf
         live = np.flatnonzero(in_b & (q > 0.0) & (r > 0.0))
         xs, ys = xb[live], y[live]
@@ -451,14 +449,8 @@ def _mixture_pairs(a, b, sigma, seed, n, n_dim, mass_b):
 # perimeter and the weighted competitor
 # ---------------------------------------------------------------------------
 
-def perimeter(
-    e: SetExpr,
-    omega: SetExpr,
-    s: float,
-    *,
-    seed: int = 0,
-    dim: int | None = None,
-) -> PerimeterBreakdown:
+def perimeter(e: SetExpr, omega: SetExpr, s: float, *, seed: int = 0,
+              dim: int | None = None) -> PerimeterBreakdown:
     """Three-term fractional perimeter of E relative to the window Omega."""
     # pieces 1-2 share E & Omega and pieces 1 and 3 share E^c & Omega, each
     # measured with the same seed: measure every distinct operand once
@@ -469,13 +461,8 @@ def perimeter(
     ))
 
 
-def j_lambda(
-    e: SetExpr,
-    omega: SetExpr,
-    s: float,
-    *,
-    dim: int | None = None,
-) -> PerimeterBreakdown:
+def j_lambda(e: SetExpr, omega: SetExpr, s: float, *,
+             dim: int | None = None) -> PerimeterBreakdown:
     """Euclidean-kernel competitor functional under the weighted measure.
 
     Same three-term structure as the perimeter with kernel |x-y|^(-(N+s))
@@ -497,42 +484,56 @@ def j_lambda(
 # direct seminorm
 # ---------------------------------------------------------------------------
 
-def seminorm_sq_direct(
-    u,
-    s: float,
-    *,
-    dim: int = 1,
-    seed: int = 0,
-) -> InteractionEstimate:
+def seminorm_sq_direct(u, s: float, *, dim: int = 1,
+                       seed: int = 0) -> InteractionEstimate:
     """Squared Gaussian-Sobolev seminorm by the double integral, index s.
 
     The kernel index is 2s.  Indicator arguments (SetExpr) route through
     the interaction engine: the squared difference of an indicator is the
     symmetric pair indicator, so the seminorm is twice the E/E^c
     interaction at index 2s; interaction refuses 2s >= 1, where that is
-    +inf whenever E has a boundary point.  Callables are integrated by
-    plain Monte Carlo over independent Gaussian pairs (smooth integrands
-    keep the variance finite without the shell proposal).
+    +inf whenever E has a boundary point.  Callables go through
+    _seminorm_callable, a deterministic rule.
     """
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0,1), got {s}")
     if isinstance(u, sets.SetExpr):
         est = interaction(u, sets.complement(u), 2.0 * s, seed=seed, dim=dim)
-        return InteractionEstimate(
-            2.0 * est.value, 2.0 * est.error, est.method, est.samples_or_cells
-        )
-    n = _N_PAIRS
-    x = sample_gaussian(n, seed=seed, dim=dim, stream=5)
-    y = sample_gaussian(n, seed=seed, dim=dim, stream=6)
-    du = np.asarray(u(x), dtype=float) - np.asarray(u(y), dtype=float)
-    sq = np.einsum("ij,ij->i", x, x) + np.einsum("ij,ij->i", y, y)
-    x -= y
-    rsq = np.einsum("ij,ij->i", x, x)
-    del x, y  # not held through the kernel call
-    live = rsq > 0.0
-    vals = np.zeros(n)
-    kv, _ = kernel_batch(2.0 * s, sq=sq[live], rsq=rsq[live], n_dim=dim)
-    vals[live] = du[live] ** 2 * kv
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1)) / math.sqrt(n)
-    return InteractionEstimate(mean, se, "monte-carlo", n)
+        return InteractionEstimate(2.0 * est.value, 2.0 * est.error,
+                                   est.method, est.samples_or_cells)
+    return _seminorm_callable(u, s, dim)
+
+
+def _seminorm_callable(u, s: float, dim: int) -> InteractionEstimate:
+    """[u]_s^2 = int_0^inf t^(-s-1) g(t) dt, g(t) = E[(u(X) - u(Y))^2].
+
+    Y = e^-t X + sqrt(1 - e^-2t) Z, with Y - X formed without cancellation,
+    on the tensor Gauss-Hermite rule in (X, Z); the time integral on
+    mehler's log-time panels from _T0 to T.  Below _T0, g(t) = g(_T0) t/_T0
+    to relative O(t); beyond T, g = g(inf) = E[(u(X) - u(Z))^2] to O(e^-T).
+    The error adds the differences of the two time rules and of the two
+    Hermite orders, the cancellation in u(X) - u(Y) (~eps (|u(X)| + |u(Y)|)
+    per point) and the rounding of the sum.
+    """
+    if dim not in _HERMITE_ORDERS:
+        raise NotImplementedError("callable seminorms need N <= 3")
+    v, w = log_time_panels(_T0)
+    times = np.exp(np.concatenate([[math.log(_T0)], v]))
+    ends = np.full((2, 1), 1.0)
+    rules = np.hstack([ends * _T0 ** -s / (1.0 - s), w * np.exp(-s * v),
+                       ends * _TAIL_TIME ** -s / s])
+    g, u_sq = [], []   # per Hermite order: g at each time and at inf; E u^2
+    for order in _HERMITE_ORDERS[dim]:
+        pts, wts = _tensor_rule(order, 2 * dim)
+        x, z = pts[:, :dim], pts[:, dim:]
+        ux = np.asarray(u(x), dtype=float)
+        g.append(np.array([wts @ (ux - u(x + (
+            math.expm1(-t) * x + math.sqrt(-math.expm1(-2.0 * t)) * z))) ** 2
+            for t in times] + [wts @ (ux - u(z)) ** 2]))
+        u_sq.append(wts @ ux ** 2)
+    (value, value_low), eps = rules @ g[0], 2.0 ** -52
+    error = (abs(value - value_low) + abs(value - rules[0] @ g[1])
+             + rules[0] @ (4.0 * eps * np.sqrt(g[0] * u_sq[0]))
+             + g[0].size * eps * value)
+    return InteractionEstimate(float(value), float(error), "gauss-hermite",
+                               times.size * _HERMITE_ORDERS[dim][0] ** (2 * dim))

@@ -73,6 +73,17 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, vecs[0] ** 2
 
 
+def _tensor_rule(n: int, n_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point rule of _gauss_rule in each of n_dim coordinates:
+    points of shape (n^n_dim, n_dim) and their weights."""
+    nodes, weights = _gauss_rule(n)
+    grids = np.meshgrid(*([nodes] * n_dim), indexing="ij")
+    prod = np.ones(1)
+    for _ in range(n_dim):
+        prod = np.multiply.outer(prod, weights).ravel()
+    return np.stack([g.ravel() for g in grids], axis=-1), prod
+
+
 def gamma_fn(z: float) -> float:
     """Euler Gamma on the positive half-line (relative error ~1e-15).
 
@@ -105,9 +116,7 @@ class MeasureEstimate:
 # ---------------------------------------------------------------------------
 
 def _interval_mass(ivs: list[tuple[float, float]]) -> float:
-    total = 0.0
-    for a, b in ivs:
-        total += std_normal_cdf(b) - std_normal_cdf(a)
+    total = sum((std_normal_cdf(b) - std_normal_cdf(a) for a, b in ivs), 0.0)
     return min(max(total, 0.0), 1.0)
 
 
@@ -159,12 +168,8 @@ def _as_box(expr: SetExpr) -> SetExpr | None:
     return None
 
 
-def gauss_measure(
-    expr: SetExpr,
-    dim: int | None = None,
-    n_mc: int = 10 ** 6,
-    seed: int = 0,
-) -> MeasureEstimate:
+def gauss_measure(expr: SetExpr, dim: int | None = None, n_mc: int = 10 ** 6,
+                  seed: int = 0) -> MeasureEstimate:
     """Gaussian measure of a set expression.
 
     Closed form when the expression reduces to interval unions (N=1),
@@ -199,13 +204,9 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed, stream)))
 
 
-def sample_gaussian(
-    n: int,
-    seed: int = 0,
-    dim: int = 1,
-    restrict: SetExpr | None = None,
-    stream: int = 0,
-) -> np.ndarray:
+def sample_gaussian(n: int, seed: int = 0, dim: int = 1,
+                    restrict: SetExpr | None = None,
+                    stream: int = 0) -> np.ndarray:
     """n i.i.d. standard Gaussian points in R^dim, shape (n, dim).
 
     With ``restrict`` given, draws are conditioned on the set by rejection;

@@ -8,15 +8,13 @@ The transition kernel relative to the Gaussian measure is
 and the jump kernel of the fractional operator is the subordination
 integral K_sigma(x,y) = int_0^inf M_t(x,y) t^{-sigma/2-1} dt.
 
-Evaluation strategy: one routine, _subordinate, serves a single pair,
-kernel_batch and the weighted sums of kernel_sums, for one index sigma
-or many, sharing the sigma-free part of the integrand.  Log-time
-substitution removes the Gauss-Weierstrass spike at t -> 0+ (the
-integrand becomes a smooth bump in v = log t), which a fixed-step
-Simpson rule integrates up to t = T with its half-grid difference plus
-the rounding of the sum as error estimate; the far tail t > T is
-analytic up to the certified deviation of M_t from 1, which is folded
-into the reported error bound.
+Evaluation: one routine, _subordinate, serves a single pair, kernel_batch
+and the weighted sums of kernel_sums, for one index sigma or many.  In
+v = log t the integrand is a smooth bump, analytic in |Im v| < pi/2, so
+the composite Gauss-Legendre panels of log_time_panels converge
+geometrically up to t = T; their 16- against 12-node difference plus the
+rounding of the sum is the error estimate.  The tail t > T is analytic
+up to the certified deviation of M_t from 1, folded into the bound.
 """
 
 from __future__ import annotations
@@ -25,17 +23,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import SingularInputError, ToleranceError
-from .measure import _gauss_rule
+from .measure import _tensor_rule
 
 _LOG_SAFE_MIN = -690.0  # exp() underflow guard
 
-# The subordination time integral: Simpson's rule in v = log t with step
-# _LOG_STEP up to _TAIL_TIME, analytic tail beyond.
+# The subordination time integral: Gauss-Legendre panels in v = log t up
+# to _TAIL_TIME, analytic tail beyond.
 _TAIL_TIME = 40.0
-_LOG_STEP = 0.01
+_PANEL_WIDTH = 2.0
+_NODES, _NODES_LOW = 16, 12  # per panel: the rule and its error estimate
+_LEGENDRE = tuple(leggauss(n) for n in (_NODES, _NODES_LOW))
 _BLOCK = 32768  # pairs per block wherever no per-pair array is kept
+_CHUNK = 2 ** 17  # time nodes x pairs per exp and matrix product
 REL_TOL = 1e-8  # kernel_K's default: a larger relative error bound raises
 
 
@@ -67,14 +69,8 @@ def semigroup_mass(t: float, x, order: int = 160) -> float:
     if not t > 0:
         raise ValueError("t must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n_dim = x.size
-    nodes, weights = _gauss_rule(order)
-    grids = np.meshgrid(*([nodes] * n_dim), indexing="ij")
-    y = np.stack([g.ravel() for g in grids], axis=-1)
-    wprod = np.ones(y.shape[0])
-    for k, g in enumerate(np.meshgrid(*([weights] * n_dim), indexing="ij")):
-        wprod *= g.ravel()
-    lp, c_r, c_s = _mehler_coeffs(t, n_dim)
+    y, wprod = _tensor_rule(order, x.size)
+    lp, c_r, c_s = _mehler_coeffs(t, x.size)
     sq = float(x @ x) + np.einsum("ij,ij->i", y, y)
     rsq = np.einsum("ij,ij->i", y - x, y - x)
     vals = np.exp(np.maximum(lp + c_r * rsq + c_s * sq, _LOG_SAFE_MIN))
@@ -115,11 +111,23 @@ def _tail_defect(rsq: np.ndarray, sq: np.ndarray, n_dim: int) -> np.ndarray:
     return np.where(monotone, eps, 10.0 * eps)
 
 
-def _simpson_weights(n_nodes: int, h: float) -> np.ndarray:
-    w = np.ones(n_nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
+def log_time_panels(t_lo: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rules in v = log t on [log t_lo, log T].
+
+    Equal panels at most _PANEL_WIDTH wide, _NODES nodes each, then the
+    same panels with _NODES_LOW nodes.  Returns all nodes v and weights w
+    of shape (2, len(v)), zero off each rule's own nodes, so that
+    w @ f(e^v) is each rule's value of int f(t) dt/t.
+    """
+    lo, hi = math.log(t_lo), math.log(_TAIL_TIME)
+    edges = np.linspace(lo, hi, 1 + max(1, math.ceil((hi - lo) / _PANEL_WIDTH)))
+    half = 0.5 * (edges[1] - edges[0])
+    v = [np.add.outer(edges[:-1] + half, half * z).ravel()
+         for z, _ in _LEGENDRE]
+    w = np.zeros((2, v[0].size + v[1].size))
+    w[0, :v[0].size] = np.tile(half * _LEGENDRE[0][1], edges.size - 1)
+    w[1, v[0].size:] = np.tile(half * _LEGENDRE[1][1], edges.size - 1)
+    return np.concatenate(v), w
 
 
 def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int, block: int):
@@ -127,13 +135,14 @@ def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int, block: int):
 
     ``pairs(idx)`` returns (|x|^2+|y|^2, |x-y|^2, weight) of the pairs
     with indices ``idx``; the weight is only handed back.  Pairs are
-    banded by separation so that the log-time grid of each band only
-    spans the region where its integrands live, and worked through in
+    banded by separation so that the log-time panels of each band only
+    span the region where its integrands live, and worked through in
     blocks of at most ``block`` pairs.  Per time node the sigma-free
     exponent and its exp are computed once for every index.  Yields
     (idx, weight, values, errors) per block, values and errors of shape
-    (len(sigmas), len(idx)); the error adds the Simpson half-grid
-    comparison, the analytic-tail defect and the rounding of the sum.
+    (len(sigmas), len(idx)); the error adds the difference of the two
+    rules of log_time_panels, the analytic-tail defect and the rounding
+    of the sum.
     """
     if not n_pairs:
         return
@@ -146,66 +155,48 @@ def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int, block: int):
                 "the subordinated kernel is singular at x = y")
         band[idx] = np.floor(np.log2(rsq) / 4.0)  # factor-16 bands in r^2
     tail = (2.0 / sigmas) * _TAIL_TIME ** (-0.5 * sigmas)
-    vmax = math.log(_TAIL_TIME)
     for b in range(band.min(), band.max() + 1):
         members = np.flatnonzero(band == b)
         blocks = [members[lo:lo + block]
                   for lo in range(0, members.size, block)]
         if not blocks:
             continue
-        vmin = math.log(_t_floor(
+        vs, w = log_time_panels(_t_floor(
             min(float(pairs(idx)[1].min()) for idx in blocks),
             max(float(pairs(idx)[0].max()) for idx in blocks), n_dim))
-        n_panels = max(8, int(math.ceil((vmax - vmin) / _LOG_STEP)))
-        n_panels += (-n_panels) % 4  # multiple of 4: half grid is Simpson too
-        vs = np.linspace(vmin, vmax, n_panels + 1)
-        h = vs[1] - vs[0]
-        # per node and index: the Simpson weight times t^(-sigma/2)
-        power = np.exp(-0.5 * np.multiply.outer(vs, sigmas))
-        w_fine = _simpson_weights(n_panels + 1, h)[:, None] * power
-        w_half = (_simpson_weights(n_panels // 2 + 1, 2.0 * h)[:, None]
-                  * power[::2])
-        coeffs = [_mehler_coeffs(math.exp(v), n_dim) for v in vs]
+        n_fine = np.count_nonzero(w[0])
+        # per rule, index and node the weight times t^(-sigma/2); per node
+        # the Mehler exponent's coefficients, as columns
+        w = w[:, None, :] * np.exp(-0.5 * np.multiply.outer(sigmas, vs))
+        lp, c_r, c_s = np.array([_mehler_coeffs(math.exp(v), n_dim)
+                                 for v in vs]).T[:, :, None]
+        step = max(1, _CHUNK // vs.size)
         for idx in blocks:
             sq, rsq, weight = pairs(idx)
-            fine = np.zeros((sigmas.size, idx.size))
-            half = np.zeros_like(fine)
-            scratch = np.empty_like(fine)
-            g = np.empty_like(rsq)
-            term = np.empty_like(rsq)
-            for j, (lp, c_r, c_s) in enumerate(coeffs):
-                np.multiply(rsq, c_r, out=g)
-                g += lp
-                g += np.multiply(sq, c_s, out=term)
-                np.exp(np.maximum(g, _LOG_SAFE_MIN, out=g), out=g)
-                fine += np.multiply.outer(w_fine[j], g, out=scratch)
-                if j % 2 == 0:
-                    half += np.multiply.outer(w_half[j // 2], g, out=scratch)
-            values = fine + tail[:, None]
-            errors = (np.abs(fine - half) / 15.0
+            sums = np.empty((2, sigmas.size, idx.size))
+            for lo in range(0, idx.size, step):   # nodes x pairs at a time
+                part = slice(lo, lo + step)
+                g = lp + c_r * rsq[part] + c_s * sq[part]
+                sums[:, :, part] = w @ np.exp(np.maximum(g, _LOG_SAFE_MIN,
+                                                         out=g), out=g)
+            values = sums[0] + tail[:, None]
+            errors = (np.abs(sums[0] - sums[1])
                       + np.multiply.outer(tail, _tail_defect(rsq, sq, n_dim)))
             errors += values * 1e-13  # neglected sliver below the time floor
             # rounding of the positive-term sum: one ulp per summed node
-            errors += (n_panels + 1) * 2.0 ** -52 * fine
+            errors += n_fine * 2.0 ** -52 * sums[0]
             yield idx, weight, values, errors
 
 
-def kernel_batch(
-    sigma: float,
-    *,
-    sq: np.ndarray,
-    rsq: np.ndarray,
-    n_dim: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def kernel_batch(sigma: float, *, sq: np.ndarray, rsq: np.ndarray,
+                 n_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """K_sigma for many pairs at once, given |x|^2+|y|^2 and |x-y|^2.
 
     Returns (values, error bounds), one per pair.  The output holds
     every pair anyway, so each band is one block.
     """
-    sq = np.asarray(sq, dtype=float).ravel()
-    rsq = np.asarray(rsq, dtype=float).ravel()
-    out = np.empty_like(rsq)
-    err = np.empty_like(rsq)
+    sq, rsq = (np.asarray(a, dtype=float).ravel() for a in (sq, rsq))
+    out, err = np.empty_like(rsq), np.empty_like(rsq)
     for idx, _, vals, errs in _subordinate(
             np.array([float(sigma)]), rsq.size,
             lambda idx: (sq[idx], rsq[idx], None), n_dim, rsq.size):
@@ -223,8 +214,7 @@ def kernel_sums(sigmas, *, n_pairs: int, pairs,
     of weight * K and of weight * error bound, reduced block by block.
     """
     sigmas = np.asarray(sigmas, dtype=float)
-    value = np.zeros(sigmas.size)
-    error = np.zeros(sigmas.size)
+    value, error = np.zeros(sigmas.size), np.zeros(sigmas.size)
     for _, weight, vals, errs in _subordinate(sigmas, n_pairs, pairs, n_dim,
                                               _BLOCK):
         # pairwise sums, not a dot product: the mesh error bar is the

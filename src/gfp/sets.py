@@ -200,8 +200,13 @@ def complement(expr: SetExpr) -> SetExpr:
 
 
 def intersect(left: SetExpr, right: SetExpr) -> SetExpr:
-    """Intersection that folds an Empty operand to Empty."""
-    return Empty() if Empty() in (left, right) else Intersection(left, right)
+    """Intersection that folds an Empty operand to Empty and drops a
+    FullSpace one."""
+    if Empty() in (left, right):
+        return Empty()
+    if isinstance(left, FullSpace) or isinstance(right, FullSpace):
+        return right if isinstance(left, FullSpace) else left
+    return Intersection(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +307,9 @@ def _node_to_json(expr: SetExpr) -> dict:
         return {"empty": True}
     if isinstance(expr, Complement):
         return {"not": _node_to_json(expr.inner)}
-    if isinstance(expr, Union):
-        return {"or": [_node_to_json(expr.left), _node_to_json(expr.right)]}
-    if isinstance(expr, Intersection):
-        return {"and": [_node_to_json(expr.left), _node_to_json(expr.right)]}
-    if isinstance(expr, Difference):
-        return {"diff": [_node_to_json(expr.left), _node_to_json(expr.right)]}
+    for cls, key in ((Union, "or"), (Intersection, "and"), (Difference, "diff")):
+        if isinstance(expr, cls):
+            return {key: [_node_to_json(expr.left), _node_to_json(expr.right)]}
     raise TypeError(f"not a set expression: {expr!r}")
 
 

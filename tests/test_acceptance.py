@@ -139,11 +139,11 @@ def test_criterion_03_mazya_shaposhnikova_spectral():
 
 def test_criterion_04_spectral_vs_direct_seminorm():
     """Direct double-integral seminorm of the first Hermite mode at
-    s = 1/4 within 2% of 2 Gamma(3/4) / s."""
+    s = 1/4 within 1e-12 relative of 2 Gamma(3/4) / s."""
     s = 0.25
     est = seminorm_sq_direct(lambda x: x[:, 0], s, seed=0)
     expect = 2.0 * gamma_fn(0.75) / s
-    assert abs(est.value - expect) <= 0.02 * expect, (
+    assert abs(est.value - expect) <= 1e-12 * expect, (
         f"direct {est.value} expect {expect}")
 
 

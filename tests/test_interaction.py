@@ -93,9 +93,12 @@ def test_mc_matches_quadrature_on_a_product_case():
 
 
 def test_mc_touching_sets_have_finite_variance():
-    a = sets.HalfSpace(normal=(1.0, 0.0), offset=0.0)
+    # a box, not a half-plane: a half-plane and its complement take the
+    # exact 1-D route
+    a = sets.Box(lo=(-0.5, -1.0), hi=(1.0, 1.0))
     b = sets.Complement(a)
     est = interaction(a, b, 0.5, dim=2, seed=0)
+    assert est.method == "monte-carlo"
     assert math.isfinite(est.value)
     assert est.error < 0.2 * est.value
 
@@ -237,11 +240,23 @@ def test_clipped_tail_mass_is_mirror_symmetric(scale, radius):
 def test_perimeter_skips_empty_pieces_in_higher_dimension():
     # over R^2 two of the three pieces have an empty operand: they must
     # cost nothing, so the total holds the one real piece's draws
-    p = perimeter(sets.HalfSpace((1.0, 0.0), 0.3), sets.FullSpace(), 0.5,
-                  dim=2).total
+    p = perimeter(sets.Box(lo=(-0.5, -1.0), hi=(1.0, 1.0)), sets.FullSpace(),
+                  0.5, dim=2).total
     assert p.samples_or_cells == 200_000
     assert p.method == "monte-carlo"
     assert p.value > 0
+
+
+def test_halfplane_row_equals_the_halfline_row():
+    # rotation invariance: over R^2 a half-plane has the perimeter of the
+    # half-line at its offset, and the bar covers the mpmath value
+    s, c = 0.64, 0.3
+    plane = perimeter(sets.HalfSpace((0.6, -0.8), c), sets.FullSpace(), s,
+                      dim=2).total
+    line = perimeter(sets.HalfSpace((1.0,), c), sets.FullSpace(), s,
+                     dim=1).total
+    assert plane.value == pytest.approx(line.value, rel=1e-12)
+    assert abs(plane.value - _far_halfline_perimeter_mp(c, s)) <= plane.error
 
 
 def test_perimeter_validates_s_when_every_piece_is_empty():
@@ -346,8 +361,24 @@ def test_seminorm_linear_function_closed_form():
     s = 0.25
     est = seminorm_sq_direct(lambda x: x[:, 0], s, seed=0)
     expect = 2.0 * gamma_fn(1.0 - s) / s
-    assert est.value == pytest.approx(expect, rel=0.02)
-    assert abs(est.value - expect) < 4.0 * est.error + 0.01 * expect
+    assert est.value == pytest.approx(expect, rel=1e-12)
+    assert abs(est.value - expect) <= est.error
+
+
+@pytest.mark.parametrize("s", [0.1, 0.57, 0.6])
+def test_seminorm_product_closed_form(s):
+    # u(x) = x0 x1 is a second-order chaos in N = 2: [u]^2 = 2 2^s
+    # Gamma(1 - s) / s; plain Monte Carlo has infinite variance here
+    # for s >= 1/2
+    est = seminorm_sq_direct(lambda x: x[:, 0] * x[:, 1], s, dim=2)
+    expect = 2.0 * 2.0 ** s * gamma_fn(1.0 - s) / s
+    assert est.value == pytest.approx(expect, rel=1e-12)
+    assert abs(est.value - expect) <= est.error
+
+
+def test_seminorm_of_a_callable_beyond_three_dimensions_is_refused():
+    with pytest.raises(NotImplementedError):
+        seminorm_sq_direct(lambda x: x[:, 0], 0.5, dim=4)
 
 
 def test_seminorm_scales_with_indicator_mass():

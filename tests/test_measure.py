@@ -169,6 +169,20 @@ def test_sample_streams_are_independent_and_reproducible():
     np.testing.assert_array_equal(a, sample_gaussian(100, seed=1, stream=0))
 
 
+def test_sample_gaussian_is_the_philox_stream():
+    # the stream does not depend on how sample_gaussian cuts it: 70,000
+    # draws cross a block boundary, unrestricted and conditioned on a box
+    direct = np.random.Generator(np.random.Philox(key=(3, 4))).standard_normal(
+        (200_000, 2))
+    np.testing.assert_array_equal(
+        sample_gaussian(70_000, seed=3, dim=2, stream=4), direct[:70_000])
+    box = sets.Box(lo=(-0.5, 0.0), hi=(1.0, 2.0))
+    inside = direct[np.all((direct > box.lo) & (direct < box.hi), axis=1)]
+    np.testing.assert_array_equal(
+        sample_gaussian(20_000, seed=3, dim=2, restrict=box, stream=4),
+        inside[:20_000])
+
+
 def test_restricted_sampling():
     e = sets.IntervalUnion(intervals=((0.0, math.inf),))
     pts = sample_gaussian(5000, seed=0, restrict=e)

@@ -256,8 +256,8 @@ def test_kernel_sums_match_batch_and_mpmath_for_every_sigma():
 
 def test_error_bound_covers_mpmath_down_to_near_diagonal_pairs():
     # 40 seeded pairs, N in {1, 2, 3}, sigma in [0.1, 1.5], |x - y|
-    # log-uniform in [1e-5, 3]; near the diagonal the half-grid difference
-    # vanishes and the bar rests on the rounding of ~2,500 summed nodes
+    # log-uniform in [1e-5, 3]; the bar is the 16- against 12-node panel
+    # difference plus the rounding of the summed nodes
     rng = np.random.default_rng(0)
     misses = []
     for _ in range(40):

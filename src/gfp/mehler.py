@@ -34,8 +34,7 @@ _LOG_SAFE_MIN = -690.0  # exp() underflow guard
 # to _TAIL_TIME, analytic tail beyond.
 _TAIL_TIME = 40.0
 _PANEL_WIDTH = 2.0
-_NODES, _NODES_LOW = 16, 12  # per panel: the rule and its error estimate
-_LEGENDRE = tuple(leggauss(n) for n in (_NODES, _NODES_LOW))
+_LEGENDRE = (leggauss(16), leggauss(12))  # per panel: rule, error estimate
 _BLOCK = 32768  # pairs per block wherever no per-pair array is kept
 _CHUNK = 2 ** 17  # time nodes x pairs per exp and matrix product
 REL_TOL = 1e-8  # kernel_K's default: a larger relative error bound raises
@@ -114,8 +113,8 @@ def _tail_defect(rsq: np.ndarray, sq: np.ndarray, n_dim: int) -> np.ndarray:
 def log_time_panels(t_lo: float) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rules in v = log t on [log t_lo, log T].
 
-    Equal panels at most _PANEL_WIDTH wide, _NODES nodes each, then the
-    same panels with _NODES_LOW nodes.  Returns all nodes v and weights w
+    Equal panels at most _PANEL_WIDTH wide, 16 nodes each, then the same
+    panels with 12 nodes.  Returns all nodes v and weights w
     of shape (2, len(v)), zero off each rule's own nodes, so that
     w @ f(e^v) is each rule's value of int f(t) dt/t.
     """
@@ -130,14 +129,14 @@ def log_time_panels(t_lo: float) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(v), w
 
 
-def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int, block: int):
+def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int):
     """The one subordination rule, for every index in ``sigmas`` at once.
 
     ``pairs(idx)`` returns (|x|^2+|y|^2, |x-y|^2, weight) of the pairs
     with indices ``idx``; the weight is only handed back.  Pairs are
     banded by separation so that the log-time panels of each band only
     span the region where its integrands live, and worked through in
-    blocks of at most ``block`` pairs.  Per time node the sigma-free
+    blocks of at most _BLOCK pairs.  Per time node the sigma-free
     exponent and its exp are computed once for every index.  Yields
     (idx, weight, values, errors) per block, values and errors of shape
     (len(sigmas), len(idx)); the error adds the difference of the two
@@ -157,8 +156,8 @@ def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int, block: int):
     tail = (2.0 / sigmas) * _TAIL_TIME ** (-0.5 * sigmas)
     for b in range(band.min(), band.max() + 1):
         members = np.flatnonzero(band == b)
-        blocks = [members[lo:lo + block]
-                  for lo in range(0, members.size, block)]
+        blocks = [members[lo:lo + _BLOCK]
+                  for lo in range(0, members.size, _BLOCK)]
         if not blocks:
             continue
         vs, w = log_time_panels(_t_floor(
@@ -192,14 +191,13 @@ def kernel_batch(sigma: float, *, sq: np.ndarray, rsq: np.ndarray,
                  n_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """K_sigma for many pairs at once, given |x|^2+|y|^2 and |x-y|^2.
 
-    Returns (values, error bounds), one per pair.  The output holds
-    every pair anyway, so each band is one block.
+    Returns (values, error bounds), one per pair.
     """
     sq, rsq = (np.asarray(a, dtype=float).ravel() for a in (sq, rsq))
     out, err = np.empty_like(rsq), np.empty_like(rsq)
     for idx, _, vals, errs in _subordinate(
             np.array([float(sigma)]), rsq.size,
-            lambda idx: (sq[idx], rsq[idx], None), n_dim, rsq.size):
+            lambda idx: (sq[idx], rsq[idx], None), n_dim):
         out[idx] = vals[0]
         err[idx] = errs[0]
     return out, err
@@ -215,8 +213,7 @@ def kernel_sums(sigmas, *, n_pairs: int, pairs,
     """
     sigmas = np.asarray(sigmas, dtype=float)
     value, error = np.zeros(sigmas.size), np.zeros(sigmas.size)
-    for _, weight, vals, errs in _subordinate(sigmas, n_pairs, pairs, n_dim,
-                                              _BLOCK):
+    for _, weight, vals, errs in _subordinate(sigmas, n_pairs, pairs, n_dim):
         # pairwise sums, not a dot product: the mesh error bar is the
         # difference of two such sums and must not carry their rounding
         value += (vals * weight).sum(axis=1)

@@ -159,9 +159,9 @@ def contains(expr: SetExpr, x: np.ndarray) -> np.ndarray:
 def _contains(expr: SetExpr, x: np.ndarray) -> np.ndarray:
     if isinstance(expr, HalfSpace):
         return x @ np.asarray(expr.normal) <= expr.offset
-    if isinstance(expr, Ball):
-        d = x - np.asarray(expr.center)
-        return np.einsum("...i,...i->...", d, d) < expr.radius ** 2
+    if isinstance(expr, Ball):  # per coordinate: an einsum is ~4x slower
+        dsq = sum((x[..., k] - c) ** 2 for k, c in enumerate(expr.center))
+        return dsq < expr.radius ** 2
     if isinstance(expr, Box):
         out = np.ones(x.shape[:-1], dtype=bool)
         for k, (lo, hi) in enumerate(zip(expr.lo, expr.hi)):
@@ -307,9 +307,12 @@ def _node_to_json(expr: SetExpr) -> dict:
         return {"empty": True}
     if isinstance(expr, Complement):
         return {"not": _node_to_json(expr.inner)}
-    for cls, key in ((Union, "or"), (Intersection, "and"), (Difference, "diff")):
-        if isinstance(expr, cls):
-            return {key: [_node_to_json(expr.left), _node_to_json(expr.right)]}
+    if isinstance(expr, Union):
+        return {"or": [_node_to_json(expr.left), _node_to_json(expr.right)]}
+    if isinstance(expr, Intersection):
+        return {"and": [_node_to_json(expr.left), _node_to_json(expr.right)]}
+    if isinstance(expr, Difference):
+        return {"diff": [_node_to_json(expr.left), _node_to_json(expr.right)]}
     raise TypeError(f"not a set expression: {expr!r}")
 
 

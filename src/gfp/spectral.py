@@ -75,11 +75,12 @@ def _indicator_coefficients(ivs, degree: int) -> np.ndarray:
     for a, b in ivs:
         coeffs[0] += std_normal_cdf(b) - std_normal_cdf(a)
         for pt, sign in ((a, +1.0), (b, -1.0)):
-            if math.isfinite(pt) and degree >= 1:
-                h = _normalized_hermite_series(pt, degree - 1)
-                n = np.arange(1, degree + 1)
-                # h_{n-1}(pt) * sqrt((n-1)!/n!) = h_{n-1}(pt)/sqrt(n)
-                coeffs[1:] += sign * std_normal_pdf(pt) * h / np.sqrt(n)
+            if math.isfinite(pt):
+                h = _normalized_hermite_series(pt, degree - 1) if degree >= 1 else None
+                if h is not None:
+                    n = np.arange(1, degree + 1)
+                    # h_{n-1}(pt) * sqrt((n-1)!/n!) = h_{n-1}(pt)/sqrt(n)
+                    coeffs[1:] += sign * std_normal_pdf(pt) * h / np.sqrt(n)
     return coeffs
 
 

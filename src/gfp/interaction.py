@@ -519,9 +519,8 @@ def _seminorm_callable(u, s: float, dim: int) -> InteractionEstimate:
         raise NotImplementedError("callable seminorms need N <= 3")
     v, w = log_time_panels(_T0)
     times = np.exp(np.concatenate([[math.log(_T0)], v]))
-    ends = np.full((2, 1), 1.0)
-    rules = np.hstack([ends * _T0 ** -s / (1.0 - s), w * np.exp(-s * v),
-                       ends * _TAIL_TIME ** -s / s])
+    rules = np.hstack([np.full((2, 1), _T0 ** -s / (1.0 - s)),
+                       w * np.exp(-s * v), np.full((2, 1), _TAIL_TIME ** -s / s)])
     g, u_sq = [], []   # per Hermite order: g at each time and at inf; E u^2
     for order in _HERMITE_ORDERS[dim]:
         pts, wts = _tensor_rule(order, 2 * dim)

@@ -78,10 +78,8 @@ def _tensor_rule(n: int, n_dim: int) -> tuple[np.ndarray, np.ndarray]:
     points of shape (n^n_dim, n_dim) and their weights."""
     nodes, weights = _gauss_rule(n)
     grids = np.meshgrid(*([nodes] * n_dim), indexing="ij")
-    prod = np.ones(1)
-    for _ in range(n_dim):
-        prod = np.multiply.outer(prod, weights).ravel()
-    return np.stack([g.ravel() for g in grids], axis=-1), prod
+    prod = np.prod(np.meshgrid(*([weights] * n_dim), indexing="ij"), axis=0)
+    return np.stack([g.ravel() for g in grids], axis=-1), prod.ravel()
 
 
 def gamma_fn(z: float) -> float:

@@ -198,8 +198,7 @@ def kernel_batch(sigma: float, *, sq: np.ndarray, rsq: np.ndarray,
     for idx, _, vals, errs in _subordinate(
             np.array([float(sigma)]), rsq.size,
             lambda idx: (sq[idx], rsq[idx], None), n_dim):
-        out[idx] = vals[0]
-        err[idx] = errs[0]
+        out[idx], err[idx] = vals[0], errs[0]
     return out, err
 
 

@@ -32,7 +32,8 @@ class HalfSpace:
     normal: tuple[float, ...]
     offset: float
 
-    def __post_init__(self):
+    def __post_init__(self):  # tuples, also from lists: sets are hashed
+        object.__setattr__(self, "normal", tuple(self.normal))
         nrm = math.sqrt(sum(c * c for c in self.normal))
         if abs(nrm - 1.0) > _UNIT_TOL:
             raise ValueError(f"half-space normal must be unit length, got |n|={nrm!r}")
@@ -44,6 +45,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
+        object.__setattr__(self, "center", tuple(self.center))
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
 
@@ -54,6 +56,8 @@ class Box:
     hi: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", tuple(self.lo))
+        object.__setattr__(self, "hi", tuple(self.hi))
         if len(self.lo) != len(self.hi):
             raise ValueError("box corners must have equal dimension")
         if not all(a < b for a, b in zip(self.lo, self.hi)):

@@ -116,6 +116,14 @@ def test_halfspace_normal_must_be_unit():
         sets.HalfSpace(normal=(2.0, 0.0), offset=0.0)
 
 
+def test_primitives_given_lists_are_hashable_and_equal_to_tuples():
+    # perimeter memoises the measure of its pieces, so sets are hashed
+    box = sets.Box(lo=[0.0, -1.0], hi=[1.0, 1.0])
+    assert box == sets.Box(lo=(0.0, -1.0), hi=(1.0, 1.0))
+    ball, half = sets.Ball([0.0, 0.5], 1.0), sets.HalfSpace([1.0, 0.0], 0.2)
+    assert len({box, ball, half, sets.Complement(ball)}) == 4
+
+
 def test_contains_at_a_single_point():
     e = sets.Ball(center=(0.0, 0.0), radius=1.0)
     assert sets.contains(e, np.array([0.0, 0.0]))

@@ -114,9 +114,9 @@ def log_time_panels(t_lo: float) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rules in v = log t on [log t_lo, log T].
 
     Equal panels at most _PANEL_WIDTH wide, 16 nodes each, then the same
-    panels with 12 nodes.  Returns all nodes v and weights w
-    of shape (2, len(v)), zero off each rule's own nodes, so that
-    w @ f(e^v) is each rule's value of int f(t) dt/t.
+    panels with 12 nodes.  Returns all nodes v and weights w of shape
+    (2, len(v)), zero off each rule's own nodes, so that w @ f(e^v) is
+    each rule's value of int f(t) dt/t.
     """
     lo, hi = math.log(t_lo), math.log(_TAIL_TIME)
     edges = np.linspace(lo, hi, 1 + max(1, math.ceil((hi - lo) / _PANEL_WIDTH)))

@@ -133,7 +133,7 @@ def _cmd_sweep(args, parser) -> int:
 
 def _cmd_limit(args, parser) -> int:
     e, omega, dim = _load_pair(args, parser)
-    lv = asymptotics.mu_limit(e, omega, dim=dim, seed=args.seed)
+    lv = asymptotics.mu_limit(e, omega, dim=dim)
     _emit(args, json.dumps({"mu": lv.mu, "error": lv.error,
                             "method": lv.method}))
     _summary("limit", lv.mu, lv.error)
@@ -231,10 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--seed", "--format")
     p.set_defaults(run=_cmd_sweep)
 
-    p = sub.add_parser("limit", help="closed-form small-s limit mu")
+    p = sub.add_parser("limit", help="small-s limit mu from Gaussian measures")
     p.add_argument("--set", required=True)
     p.add_argument("--omega", default=None)
-    _add_flags(p, "--seed")
+    _add_flags(p)
     p.set_defaults(run=_cmd_limit)
 
     p = sub.add_parser("spectral", help="Hermite spectral seminorm")

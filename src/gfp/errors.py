@@ -18,11 +18,8 @@ class OverlapError(GfpError):
 
 
 class RestrictionMassError(GfpError):
-    """Conditioning set has Gaussian mass too small for rejection sampling.
-
-    Below mass 1e-6 rejection sampling is hopeless; reformulate the draw
-    with importance sampling instead.
-    """
+    """Conditioning set has Gaussian mass below 1e-6, too small for
+    rejection sampling; importance sampling is the way out."""
 
 
 class ToleranceError(GfpError):

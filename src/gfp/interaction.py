@@ -18,8 +18,9 @@ seminorms use tensor Gauss-Hermite in space and log-time panels in time.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -295,22 +296,19 @@ def _quadrature_1d(a: SetExpr, b: SetExpr, s_values, lam=False):
 # ---------------------------------------------------------------------------
 
 def _operand_dim(a: SetExpr, b: SetExpr, dim: int | None) -> int:
-    d = sets.dimension(a)
-    db = sets.dimension(b)
-    for cand in (db, dim):
-        if d is None:
-            d = cand
-        elif cand is not None and cand != d:
-            raise ValueError(f"operand dimensions disagree: {d} vs {cand}")
-    return 1 if d is None else d
+    dims = {sets.dimension(a), sets.dimension(b), dim} - {None}
+    if len(dims) > 1:
+        raise ValueError(f"operand dimensions disagree: {sorted(dims)}")
+    return dims.pop() if dims else 1
 
 
-def _check_disjoint_mc(a, b, dim, seed):
-    pts = sample_gaussian(10 ** 4, seed=seed ^ 0xD155, dim=dim, stream=9)
-    both = sets.contains(a, pts) & sets.contains(b, pts)
-    if both.any():
-        frac = float(both.mean())
-        raise OverlapError(f"operands overlap on ~{frac:.1%} of Gaussian mass")
+def _check_disjoint(a, b, dim):
+    """Refuse operands whose intersection has Gaussian mass above its
+    error; a set and its complement are disjoint by construction."""
+    if sets.complement(a) != b:
+        both = gauss_measure(sets.Intersection(a, b), dim=dim)
+        if both.value > both.error:
+            raise OverlapError(f"operands overlap on {both.value:.3g} of mass")
 
 
 def _intervals_1d(a: SetExpr, b: SetExpr):
@@ -356,11 +354,30 @@ def _three_pieces(e: SetExpr, omega: SetExpr):
 def interaction(a: SetExpr, b: SetExpr, s: float, *, seed: int = 0,
                 dim: int | None = None) -> InteractionEstimate:
     """Interaction energy of disjoint sets under the subordinated kernel of index s."""
-    return _interaction(a, b, s, seed, dim, gauss_measure)
+    return _interaction(a, b, s, seed, dim, _draws(seed, [(a, b)]))
 
 
-def _interaction(a, b, s, seed, dim, measure):
-    """interaction, with the Gaussian measure of each operand by ``measure``."""
+def _draws(seed, pairs):
+    """draw(n_dim, expr, stream) for the operand ``pairs``, A on stream 1 and
+    B on 2 (a pair with an Empty operand draws nothing): _N_PAIRS points on
+    expr, each drawn once and held until its last use."""
+    uses = Counter(key for pair in pairs if sets.Empty() not in pair
+                   for key in zip(pair, (1, 2)))
+    held = {}
+
+    def draw(n_dim, expr, stream):
+        key = (expr, stream)
+        uses[key] -= 1
+        pts = held.pop(key) if key in held else sample_gaussian(
+            _N_PAIRS, seed=seed, dim=n_dim, restrict=expr, stream=stream)
+        if uses[key] > 0:
+            held[key] = pts
+        return pts
+    return draw
+
+
+def _interaction(a, b, s, seed, dim, draw):
+    """interaction, with the Monte Carlo route's points from ``draw``."""
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0,1), got {s}")
     n_dim = _operand_dim(a, b, dim)
@@ -369,15 +386,15 @@ def _interaction(a, b, s, seed, dim, measure):
         return _quadrature_1d(*(line or (a, b)), (s,))[0]
 
     # an Empty operand has closed-form mass 0: no probe, no draws
-    mass_a = measure(a, dim=n_dim, seed=seed ^ 0xA)
-    mass_b = measure(b, dim=n_dim, seed=seed ^ 0xB)
-    if mass_a.value == 0.0 or mass_b.value == 0.0:
+    mass_a = gauss_measure(a, dim=n_dim).value
+    mass_b = gauss_measure(b, dim=n_dim).value
+    if mass_a == 0.0 or mass_b == 0.0:
         return ZERO_ESTIMATE
-    _check_disjoint_mc(a, b, n_dim, seed)
-    return _interaction_mc(a, b, s, seed, n_dim, mass_a, mass_b)
+    _check_disjoint(a, b, n_dim)
+    return _interaction_mc(a, b, s, seed, n_dim, mass_a, mass_b, draw)
 
 
-def _interaction_mc(a, b, sigma, seed, n_dim, mass_a, mass_b):
+def _interaction_mc(a, b, sigma, seed, n_dim, mass_a, mass_b, draw):
     """Mixture importance sampling of the pair integral.
 
     x ~ gamma|_A.  y from an equal mixture of gamma|_B and a shell around
@@ -387,7 +404,7 @@ def _interaction_mc(a, b, sigma, seed, n_dim, mass_a, mass_b):
     """
     n = _N_PAIRS
     idx, sq, rsq, gauss_pdf_y, q = _mixture_pairs(a, b, sigma, seed, n,
-                                                  n_dim, mass_b.value)
+                                                  n_dim, mass_b, draw)
     weighted = np.zeros(n)
     if idx.size:
         kv, _ = kernel_batch(sigma, sq=sq, rsq=rsq, n_dim=n_dim)
@@ -395,27 +412,20 @@ def _interaction_mc(a, b, sigma, seed, n_dim, mass_a, mass_b):
 
     mean = float(weighted.mean())
     se = float(weighted.std(ddof=1)) / math.sqrt(n)
-    value = mass_a.value * mean
-    error = mass_a.value * se + mass_a.std_error * abs(mean)
-    # the mixture uses the estimated gamma(B); its relative error leaks in
-    if mass_b.std_error > 0:
-        error += 0.5 * value * mass_b.std_error / mass_b.value
-    return InteractionEstimate(value, error, "monte-carlo", n)
+    return InteractionEstimate(mass_a * mean, mass_a * se, "monte-carlo", n)
 
 
-def _mixture_pairs(a, b, sigma, seed, n, n_dim, mass_b):
+def _mixture_pairs(a, b, sigma, seed, n, n_dim, mass_b, draw):
     """The draws of _interaction_mc, worked through in blocks, reduced to
     the pairs with y in B and q > 0: their indices, |x|^2 + |y|^2,
     |x - y|^2, gamma's density at y and the mixture density q at y.
     The full-size draws are freed on return, before the kernel call."""
-    x = sample_gaussian(n, seed=seed, dim=n_dim, restrict=a, stream=1)
-    y_gauss = sample_gaussian(n, seed=seed, dim=n_dim, restrict=b, stream=2)
+    x, y_gauss = draw(n_dim, a, 1), draw(n_dim, b, 2)
     rng = _rng(seed, 3)
     take_shell = rng.random(n) < 0.5
     # shell radii by inverse CDF of the truncated power law
-    u = rng.random(n)
     c = _SHELL_R_LO ** (-sigma)
-    radii = (c - u * (c - 1.0)) ** (-1.0 / sigma)
+    radii = (c - rng.random(n) * (c - 1.0)) ** (-1.0 / sigma)
     dirs = rng.standard_normal((n, n_dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     # the shell's radial law on [r_lo, 1] times the unit sphere's area
@@ -451,14 +461,14 @@ def _mixture_pairs(a, b, sigma, seed, n, n_dim, mass_b):
 
 def perimeter(e: SetExpr, omega: SetExpr, s: float, *, seed: int = 0,
               dim: int | None = None) -> PerimeterBreakdown:
-    """Three-term fractional perimeter of E relative to the window Omega."""
-    # pieces 1-2 share E & Omega and pieces 1 and 3 share E^c & Omega, each
-    # measured with the same seed: measure every distinct operand once
-    measure = cache(gauss_measure)
-    return PerimeterBreakdown(*(
-        _interaction(pa, pb, s, seed, dim, measure)
-        for pa, pb in _three_pieces(e, omega)
-    ))
+    """Three-term fractional perimeter of E relative to the window Omega.
+
+    Pieces 1-2 share the draws of E & Omega and pieces 1 and 3 those of
+    E^c & Omega: in the order 2, 1, 3, one shared draw is held at a time."""
+    pieces = _three_pieces(e, omega)
+    draw = _draws(seed, pieces)
+    parts = {k: _interaction(*pieces[k], s, seed, dim, draw) for k in (1, 0, 2)}
+    return PerimeterBreakdown(*(parts[k] for k in range(3)))
 
 
 def j_lambda(e: SetExpr, omega: SetExpr, s: float, *,

@@ -2,8 +2,10 @@
 
 gamma is the standard Gaussian probability measure on R^N.  Measures of
 sets are computed in closed form whenever the expression reduces to
-half-spaces, boxes, 1-D interval unions or centered balls, and by seeded
-Monte Carlo otherwise.
+half-spaces, boxes, 1-D interval unions or centered balls.  In 2-D every
+other expression over half-planes, boxes and discs takes a deterministic
+slice rule with a reported quadrature bound; other sets in N >= 3 are
+refused.  No measure draws a random number.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from . import sets
 from .errors import RestrictionMassError
 from .sets import SetExpr
 
 _SQRT2 = math.sqrt(2.0)
-_COUNT_BLOCK = 65536  # draws per block of a Monte Carlo measure
 
 
 def std_normal_cdf(t: float) -> float:
@@ -102,26 +104,23 @@ def abs_gamma_neg(s: float) -> float:
 
 @dataclass(frozen=True)
 class MeasureEstimate:
-    """Measure value with method tag; std_error is 0 in closed form."""
+    """Measure value, a bound on its error (0 in closed form), method tag."""
 
     value: float
-    std_error: float
-    method: str  # "closed-form" | "monte-carlo"
+    error: float
+    method: str  # "closed-form" | "slice-quadrature"
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# measures: closed forms, 2-D slices
 # ---------------------------------------------------------------------------
-
-def _interval_mass(ivs: list[tuple[float, float]]) -> float:
-    total = sum((std_normal_cdf(b) - std_normal_cdf(a) for a, b in ivs), 0.0)
-    return min(max(total, 0.0), 1.0)
-
 
 def _closed_form(expr: SetExpr, dim: int) -> float | None:
     """Closed-form gamma measure, or None when no reduction applies."""
     if dim == 1:
-        return _interval_mass(sets.to_intervals(expr))
+        total = sum((std_normal_cdf(b) - std_normal_cdf(a)
+                     for a, b in sets.to_intervals(expr)), 0.0)
+        return min(max(total, 0.0), 1.0)
     if isinstance(expr, sets.FullSpace):
         return 1.0
     if isinstance(expr, sets.Empty):
@@ -130,67 +129,127 @@ def _closed_form(expr: SetExpr, dim: int) -> float | None:
         # x.n is standard normal for |n| = 1
         return std_normal_cdf(expr.offset)
     if isinstance(expr, sets.Box):
-        m = 1.0
-        for lo, hi in zip(expr.lo, expr.hi):
-            m *= std_normal_cdf(hi) - std_normal_cdf(lo)
-        return m
-    if isinstance(expr, sets.Ball):
-        if any(c != 0.0 for c in expr.center):
-            return None  # off-center: no elementary form, route to Monte Carlo
+        return math.prod(std_normal_cdf(hi) - std_normal_cdf(lo)
+                         for lo, hi in zip(expr.lo, expr.hi))
+    if isinstance(expr, sets.Ball) and not any(expr.center):
         # |X|^2 is chi-square with N degrees of freedom
         return _chi2_ball_mass(dim, expr.radius)
     if isinstance(expr, sets.Complement):
         inner = _closed_form(expr.inner, dim)
         return None if inner is None else 1.0 - inner
-    if isinstance(expr, sets.Intersection):
-        boxed = _as_box(expr)
-        if boxed is not None:
-            return _closed_form(boxed, dim)
     return None
 
 
-def _as_box(expr: SetExpr) -> SetExpr | None:
-    """Intersections of boxes collapse to a box (or Empty)."""
-    if isinstance(expr, sets.Box):
-        return expr
-    if isinstance(expr, sets.Intersection):
-        left, right = _as_box(expr.left), _as_box(expr.right)
-        if isinstance(left, sets.Empty) or isinstance(right, sets.Empty):
-            return sets.Empty()
-        if isinstance(left, sets.Box) and isinstance(right, sets.Box):
-            lo = tuple(max(a, b) for a, b in zip(left.lo, right.lo))
-            hi = tuple(min(a, b) for a, b in zip(left.hi, right.hi))
-            if all(a < b for a, b in zip(lo, hi)):
-                return sets.Box(lo, hi)
-            return sets.Empty()
-    return None
+_R_SLICE = 10.0  # gamma mass beyond |x_i| = 10 is below 1e-22
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
-def gauss_measure(expr: SetExpr, dim: int | None = None, n_mc: int = 10 ** 6,
-                  seed: int = 0) -> MeasureEstimate:
+# Gauss-Legendre in theta on (0, pi), 24 nodes and 16 for the check, for
+# x = m - h cos(theta) on a panel (m - h, m + h): offsets -cos(theta) and
+# weights w sin(theta) per unit h; a disc extent's square root turns smooth.
+_SLICE_RULES = [(-np.cos(t), 0.5 * math.pi * w * np.sin(t)) for t, w in (
+    (0.5 * math.pi * (1.0 + z), w) for z, w in map(leggauss, (24, 16)))]
+
+
+def _primitives(expr: SetExpr) -> list:
+    if isinstance(expr, (sets.HalfSpace, sets.Box, sets.Ball)):
+        return [expr]
+    return [p for part in ("inner", "left", "right") if hasattr(expr, part)
+            for p in _primitives(getattr(expr, part))]
+
+
+def _panel_cuts(lines, circles) -> np.ndarray:
+    """x1 that split the slice integral into smooth, slow panels: unit
+    steps, disc extents, pairwise boundary intersections (two circles meet
+    on their radical line) and each line's crossings of y = -10, ..., 10,
+    so that no breakpoint moves by more than 1 across a panel.  Toward
+    each extent, from inside, cuts are graded geometrically down to the
+    nearest other cut: no panel lies closer to the square root there than
+    its own width."""
+    ends = [(c[0] - s * r, s, r) for c, r in circles for s in (1.0, -1.0)]
+    cuts = list(np.arange(-_R_SLICE, _R_SLICE + 1.0)) + [e for e, _, _ in ends]
+    levels = [((0.0, 1.0), y) for y in cuts[:21]]
+    for i, (n, o) in enumerate(lines):
+        for m, p in levels + lines[i + 1:]:
+            if n[0] * m[1] != n[1] * m[0]:
+                cuts.append((o * m[1] - p * n[1]) / (n[0] * m[1] - n[1] * m[0]))
+    chords = [(line, circle) for line in lines for circle in circles]
+    for i, (c, r) in enumerate(circles):
+        for d, q in circles[i + 1:]:
+            v = np.subtract(d, c)
+            if gap := math.hypot(*v):
+                chords.append(((v / gap, (r * r - q * q + np.dot(d, d)
+                                          - np.dot(c, c)) / (2.0 * gap)), (c, r)))
+    for (n, o), (c, r) in chords:
+        dist = o - n[0] * c[0] - n[1] * c[1]   # centre to line, along n
+        if abs(dist) <= r:
+            half = math.sqrt(r * r - dist * dist)
+            cuts += [c[0] + dist * n[0] + side * half * n[1] for side in (-1, 1)]
+    cuts, size = np.unique(np.clip(cuts, -_R_SLICE, _R_SLICE)), 0
+    while size != cuts.size:   # until no grading lands near another extent
+        size = cuts.size
+        for end, side, r in ends:
+            away = (cuts - end) * side
+            gap = max(np.min(away, where=away > 0, initial=r), 1e-15 * r)
+            grade = end + side * gap * 2.0 ** np.arange(
+                1, math.ceil(math.log2(r / gap)))
+            cuts = np.unique(np.clip(np.append(cuts, grade), -_R_SLICE, _R_SLICE))
+    return cuts
+
+
+def _slice_measure(expr: SetExpr) -> MeasureEstimate:
+    """gamma(A) = int phi(x1) gamma_1(A_x1) dx1 in 2-D, A_x1 the slice at x1.
+
+    The primitives' boundaries are lines (normal, offset) and circles
+    (center, radius).  At each node x1 their breakpoints, clipped to the
+    window [-10, 10]^2, split the y-line into segments, and one contains()
+    call at the midpoints decides which are inside.  Each panel between
+    _panel_cuts takes the 24-node rule; the error adds the 16-node rule's
+    difference and rounding: 4 eps per Phi value and 16 eps for the rest.
+    """
+    prims = _primitives(expr)
+    lines = [(p.normal, p.offset) for p in prims if isinstance(p, sets.HalfSpace)]
+    lines += [((1.0 - k, float(k)), v) for p in prims if isinstance(p, sets.Box)
+              for k in (0, 1) for v in (p.lo[k], p.hi[k])]
+    circles = [(p.center, p.radius) for p in prims if isinstance(p, sets.Ball)]
+    edges = _panel_cuts(lines, circles)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    x, w = (np.concatenate(v) for v in zip(*(
+        ((mid[:, None] + half[:, None] * u).ravel(), np.outer(half, wt).ravel())
+        for u, wt in _SLICE_RULES)))
+    cols = [np.full_like(x, y) for y in (-_R_SLICE, _R_SLICE)]
+    cols += [(o - n[0] * x) / n[1] for n, o in lines if n[1]]
+    for c, r in circles:
+        dy = np.sqrt(np.maximum(r * r - (x - c[0]) ** 2, 0.0))
+        cols += [c[1] - dy, c[1] + dy]
+    ys = np.sort(np.clip(np.column_stack(cols), -_R_SLICE, _R_SLICE), axis=1)
+    inside = sets.contains(expr, np.stack(np.broadcast_arrays(
+        x[:, None], 0.5 * (ys[:, 1:] + ys[:, :-1])), axis=-1))
+    cdf = 0.5 * _ERFC(ys * (-1.0 / _SQRT2)).astype(float)
+    f = w * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * (
+        np.diff(cdf, axis=1) * inside).sum(axis=1)
+    split = mid.size * _SLICE_RULES[0][0].size
+    value, check = float(f[:split].sum()), float(f[split:].sum())
+    return MeasureEstimate(value, abs(value - check) + (4.0 * ys.shape[1] + 16.0)
+                           * 2.0 ** -52, "slice-quadrature")
+
+
+def gauss_measure(expr: SetExpr, dim: int | None = None) -> MeasureEstimate:
     """Gaussian measure of a set expression.
 
     Closed form when the expression reduces to interval unions (N=1),
-    half-spaces, boxes or centered balls; otherwise Monte Carlo over n_mc
-    seeded draws with the binomial standard error reported.
+    half-spaces, boxes or centered balls; in 2-D every other expression
+    takes _slice_measure.  Other sets in N >= 3 raise NotImplementedError.
     """
-    if dim is None:
-        dim = sets.dimension(expr)
-        if dim is None:
-            # FullSpace/Empty combinations: measure is dimension-free
-            dim = 1
+    # FullSpace/Empty combinations: measure is dimension-free
+    dim = dim or sets.dimension(expr) or 1
     cf = _closed_form(expr, dim)
     if cf is not None:
         return MeasureEstimate(cf, 0.0, "closed-form")
-    # sample_gaussian's draws, counted block by block instead of held at once
-    rng = _rng(seed, 0)
-    hits = 0
-    for lo in range(0, n_mc, _COUNT_BLOCK):
-        pts = rng.standard_normal((min(_COUNT_BLOCK, n_mc - lo), dim))
-        hits += int(np.count_nonzero(sets.contains(expr, pts)))
-    p = hits / n_mc
-    se = math.sqrt(max(p * (1.0 - p), 1.0 / n_mc) / n_mc)
-    return MeasureEstimate(p, se, "monte-carlo")
+    if dim != 2:
+        raise NotImplementedError(f"no Gaussian measure of this set in N = {dim}"
+                                  ": beyond 2-D only closed forms")
+    return _slice_measure(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +273,13 @@ def sample_gaussian(n: int, seed: int = 0, dim: int = 1,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if restrict is not None and not isinstance(restrict, sets.FullSpace):
-        mass = gauss_measure(restrict, dim=dim, n_mc=10 ** 5, seed=seed ^ 0x5EED)
-        if mass.value < 1e-6:
-            raise RestrictionMassError(
-                f"restriction mass ~{mass.value:.2e} < 1e-6; "
-                "rejection sampling not viable, use importance sampling"
-            )
-    rng = _rng(seed, stream)
-    out = np.empty((n, dim), dtype=float)
-    filled = 0
+    mass = 1.0 if restrict is None else gauss_measure(restrict, dim=dim).value
+    if mass < 1e-6:
+        raise RestrictionMassError(f"restriction mass {mass:.2e} < 1e-6; "
+                                   "rejection sampling is not viable")
+    rng, out, filled = _rng(seed, stream), np.empty((n, dim)), 0
     while filled < n:  # the normal stream does not depend on the batch size
-        draw = rng.standard_normal((_COUNT_BLOCK, dim))
+        draw = rng.standard_normal((65536, dim))
         if restrict is not None:
             draw = draw[sets.contains(restrict, draw)]
         take = min(n - filled, draw.shape[0])

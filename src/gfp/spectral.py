@@ -71,16 +71,14 @@ def _indicator_coefficients(ivs, degree: int) -> np.ndarray:
     c_n = sum_i [He_{n-1}(a_i) phi(a_i) - He_{n-1}(b_i) phi(b_i)] / sqrt(n)
     for n >= 1; c_0 is the Gaussian mass.  Infinite endpoints contribute 0.
     """
-    coeffs = np.zeros(degree + 1)
+    coeffs, n = np.zeros(degree + 1), np.arange(1, degree + 1)
     for a, b in ivs:
         coeffs[0] += std_normal_cdf(b) - std_normal_cdf(a)
         for pt, sign in ((a, +1.0), (b, -1.0)):
-            if math.isfinite(pt):
-                h = _normalized_hermite_series(pt, degree - 1) if degree >= 1 else None
-                if h is not None:
-                    n = np.arange(1, degree + 1)
-                    # h_{n-1}(pt) * sqrt((n-1)!/n!) = h_{n-1}(pt)/sqrt(n)
-                    coeffs[1:] += sign * std_normal_pdf(pt) * h / np.sqrt(n)
+            if math.isfinite(pt) and degree >= 1:
+                h = _normalized_hermite_series(pt, degree - 1)
+                # h_{n-1}(pt) * sqrt((n-1)!/n!) = h_{n-1}(pt)/sqrt(n)
+                coeffs[1:] += sign * std_normal_pdf(pt) * h / np.sqrt(n)
     return coeffs
 
 
@@ -90,27 +88,28 @@ def expand(u, degree: int) -> HermiteExpansion:
     Interval-union indicators use the exact endpoint identity (any degree);
     callables use Gauss-Hermite quadrature of order >= 2*degree, refused
     above degree 500 where oscillatory integrands defeat quadrature.
+    Coefficients whose squares sum past the norm (a Parseval defect below
+    -1e-12 ||u||^2, or NaN) are wrong, and raise ValueError too.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if isinstance(u, sets.SetExpr):
-        ivs = sets.to_intervals(u)
-        coeffs = _indicator_coefficients(ivs, degree)
+        coeffs = _indicator_coefficients(sets.to_intervals(u), degree)
         norm_sq = float(coeffs[0])  # indicator: ||u||^2 = gamma(E) = c_0
-        tail = max(norm_sq - float(coeffs @ coeffs), 0.0)
-        return HermiteExpansion(coeffs, tail)
-    if degree > _QUAD_EXPAND_CAP:
-        raise ValueError(
-            f"quadrature expansion refused above degree {_QUAD_EXPAND_CAP}; "
-            "oscillatory integrands make large-degree coefficients silently wrong"
-        )
-    nodes, weights = _gauss_rule(max(2 * degree + 1, 64))
-    vals = np.asarray(u(nodes.reshape(-1, 1)), dtype=float).ravel()
-    table = np.stack([_normalized_hermite_series(xi, degree) for xi in nodes])
-    coeffs = table.T @ (weights * vals)
-    norm_sq = float(weights @ vals ** 2)
-    tail = max(norm_sq - float(coeffs @ coeffs), 0.0)
-    return HermiteExpansion(coeffs, tail)
+    elif degree > _QUAD_EXPAND_CAP:
+        raise ValueError(f"quadrature expansion refused above degree "
+                         f"{_QUAD_EXPAND_CAP}: oscillatory integrands defeat it")
+    else:
+        nodes, weights = _gauss_rule(max(2 * degree + 1, 64))
+        vals = np.asarray(u(nodes.reshape(-1, 1)), dtype=float).ravel()
+        table = np.stack([_normalized_hermite_series(x, degree) for x in nodes])
+        coeffs = table.T @ (weights * vals)
+        norm_sq = float(weights @ vals ** 2)
+    defect = norm_sq - float(coeffs @ coeffs)
+    if not defect >= -1e-12 * norm_sq:   # NaN too
+        raise ValueError(f"Parseval defect {defect:.3g} < 0 at degree "
+                         f"{degree}: the coefficients are wrong")
+    return HermiteExpansion(coeffs, max(defect, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,19 @@ def test_additivity_defect_rejects_overlap():
         additivity_defect(a, b)
 
 
+def test_additivity_defect_rejects_a_tiny_2d_overlap():
+    # a disc that reaches 2.43e-4 across the line x1 = 0: an overlap of
+    # Gaussian mass ~1e-6, below what 1e6 random draws can resolve
+    a = sets.HalfSpace((1.0, 0.0), 0.0)
+    b = sets.Ball(center=(1.0, 0.5), radius=1.0 + 2.43e-4)
+    overlap = gauss_measure(sets.Intersection(a, b), dim=2)
+    assert 5e-7 < overlap.value < 2e-6 and overlap.error < 1e-13
+    with pytest.raises(OverlapError):
+        additivity_defect(a, b, dim=2)
+    # the touching disc is disjoint: its overlap is exactly 0
+    additivity_defect(a, sets.Ball(center=(1.0, 0.5), radius=1.0), dim=2)
+
+
 def test_lemma_lower_bound_on_interactions():
     # s L_s(A, B) >= 2 exp(-2 R^2/(e^2-1)) g(A & B_R) g(B & B_R),
     # uniformly in s

@@ -191,6 +191,7 @@ def test_no_temp_files_left_behind(half_json, tmp_path):
     ["perimeter", "--set", "E", "--s", "0.5", "--budget", "5"],
     ["jlambda", "--set", "E", "--s", "0.5", "--budget", "5"],
     ["sweep", "--set", "E", "--budget", "5"],
+    ["limit", "--set", "E", "--seed", "1"],
 ])
 def test_unread_flag_is_usage_error(argv, half_json):
     argv = [half_json if a == "E" else a for a in argv]

@@ -247,6 +247,28 @@ def test_perimeter_skips_empty_pieces_in_higher_dimension():
     assert p.value > 0
 
 
+def test_windowed_perimeter_draws_each_piece_once(monkeypatch):
+    # pieces 1-2 share the draws of E & Omega and pieces 1 and 3 those of
+    # E^c & Omega: four restricted draws, not six, and each piece is the
+    # interaction of its operands, bit for bit
+    module = importlib.import_module("gfp.interaction")
+    real, restricted = module.sample_gaussian, []
+
+    def counting(n, seed=0, dim=1, restrict=None, stream=0):
+        if restrict is not None:
+            restricted.append((restrict, stream))
+        return real(n, seed=seed, dim=dim, restrict=restrict, stream=stream)
+
+    monkeypatch.setattr(module, "sample_gaussian", counting)
+    e = sets.Ball(center=(0.9, -0.3), radius=0.9)   # crosses the window
+    omega = sets.Box(lo=(-1.2, -1.5), hi=(1.4, 1.1))
+    br = perimeter(e, omega, 0.4, seed=5, dim=2)
+    assert len(restricted) == len(set(restricted)) == 4
+    pieces = module._three_pieces(e, omega)
+    assert [br.local, br.nonlocal_out, br.nonlocal_in] == [
+        interaction(pa, pb, 0.4, seed=5, dim=2) for pa, pb in pieces]
+
+
 def test_halfplane_row_equals_the_halfline_row():
     # rotation invariance: over R^2 a half-plane has the perimeter of the
     # half-line at its offset, and the bar covers the mpmath value

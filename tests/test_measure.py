@@ -1,5 +1,6 @@
-"""Gaussian measures: closed forms, Monte Carlo fallback, sampling."""
+"""Gaussian measures: closed forms, 2-D slices, sampling."""
 
+import importlib
 import math
 
 import mpmath as mp
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfp import sets
+from gfp.asymptotics import mu_limit
 from gfp.errors import RestrictionMassError
 from gfp.measure import (
     _chi2_ball_mass,
@@ -116,39 +118,106 @@ def test_1d_reduction_matches_box(center, half):
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo fallback
+# 2-D slice rule
 # ---------------------------------------------------------------------------
 
-def test_off_center_ball_routes_to_mc():
-    e = sets.Ball(center=(1.0, 0.0), radius=1.0)
-    est = gauss_measure(e, seed=0)
-    assert est.method == "monte-carlo"
-    assert est.std_error > 0
-    # oracle by dense polar quadrature of the off-center disc
-    r = np.linspace(0, 1, 2001)[1:]
-    th = np.linspace(0, 2 * math.pi, 2001)[:-1]
-    rr, tt = np.meshgrid(r, th)
-    x = 1.0 + rr * np.cos(tt)
-    y = rr * np.sin(tt)
-    dens = np.exp(-(x ** 2 + y ** 2) / 2) / (2 * math.pi)
-    oracle = float(np.sum(dens * rr) * (r[1] - r[0]) * (th[1] - th[0]))
-    assert est.value == pytest.approx(oracle, abs=4 * est.std_error + 1e-4)
+def _noncentral_disc_mass(center, radius):
+    """gamma(B(c, r)) in 2-D: |X - c|^2 is noncentral chi^2_2 with
+    lambda = |c|^2, a Poisson(lambda/2) mixture of chi^2_(2+2j) laws."""
+    with mp.workdps(40):
+        half_lam = (mp.mpf(center[0]) ** 2 + mp.mpf(center[1]) ** 2) / 2
+        y = mp.mpf(radius) ** 2 / 2
+        total, j = mp.mpf(0), 0
+        while True:
+            term = (mp.exp(-half_lam) * half_lam ** j / mp.factorial(j)
+                    * mp.gammainc(1 + j, 0, y, regularized=True))
+            total += term
+            j += 1
+            if j > half_lam and term < mp.mpf(10) ** -30:
+                return float(total)
 
 
-def test_mc_is_deterministic():
-    e = sets.Ball(center=(0.5, 0.5), radius=0.7)
-    a = gauss_measure(e, seed=3)
-    b = gauss_measure(e, seed=3)
-    assert a == b
+@pytest.mark.parametrize("center, radius", [
+    ((1.0, 0.0), 1.0), ((0.37, -0.81), 0.52), ((-1.0, 0.9), 1.5),
+    ((2.5, 2.0), 0.3)])
+def test_off_center_disc_matches_noncentral_chi2(center, radius):
+    est = gauss_measure(sets.Ball(center=center, radius=radius))
+    assert est.method == "slice-quadrature"
+    dev = abs(est.value - _noncentral_disc_mass(center, radius))
+    assert dev <= 1e-14 and dev <= est.error
 
 
-def test_mc_counts_the_draws_of_sample_gaussian():
-    # the count runs block by block; 65537 draws cross a block boundary
+def _halfplane_disc_mass_mp(normal, offset, center, radius):
+    """gamma({x.n <= o} & B(c, r)) by mpmath's slice integral, n2 > 0:
+    each slice of the disc is cut from above by the line."""
+    n1, n2, o = (mp.mpf(v) for v in (*normal, offset))
+    c1, c2, r = (mp.mpf(v) for v in (*center, radius))
+
+    def slice_mass(x):
+        w = mp.sqrt(max(r * r - (x - c1) ** 2, 0))
+        top = min(c2 + w, (o - n1 * x) / n2)
+        return mp.npdf(x) * max(mp.ncdf(top) - mp.ncdf(c2 - w), 0)
+
+    # where the line crosses the circle: the integrand's kinks
+    dist = o - n1 * c1 - n2 * c2
+    cuts = [c1 - r, c1 + r]
+    if abs(dist) < r:
+        half = mp.sqrt(r * r - dist * dist)
+        cuts += [c1 + dist * n1 - half * n2, c1 + dist * n1 + half * n2]
+    with mp.workdps(30):
+        return float(mp.quad(slice_mass, sorted(cuts)))
+
+
+def test_halfplane_and_disc_match_an_mpmath_slice_integral():
+    normal, offset, center, radius = (0.6, 0.8), 0.2, (0.4, -0.3), 1.1
+    est = gauss_measure(sets.Intersection(
+        sets.HalfSpace(normal, offset), sets.Ball(center, radius)))
+    ref = _halfplane_disc_mass_mp(normal, offset, center, radius)
+    assert abs(est.value - ref) <= min(est.error, 1e-14)
+
+
+_NORMALS = st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.6, -0.8)])
+_ANGLES = st.floats(min_value=0.0, max_value=2 * math.pi).map(
+    lambda a: (math.cos(a), math.sin(a)))
+_COORD = st.floats(min_value=-2.0, max_value=2.0)
+_PRIMITIVES = st.one_of(
+    st.builds(sets.HalfSpace, st.one_of(_NORMALS, _ANGLES), _COORD),
+    st.builds(lambda lo, size: sets.Box(lo, (lo[0] + size[0], lo[1] + size[1])),
+              st.tuples(_COORD, _COORD),
+              st.tuples(*[st.floats(min_value=0.1, max_value=3.0)] * 2)),
+    st.builds(sets.Ball, st.tuples(_COORD, _COORD),
+              st.floats(min_value=0.1, max_value=2.5)))
+
+
+@given(_PRIMITIVES, _PRIMITIVES)
+@settings(max_examples=60, deadline=None)
+def test_slices_add_up_over_complements(a, omega):
+    # gamma(A & W) + gamma(A^c & W) = gamma(W) and gamma(X) + gamma(X^c) = 1
+    inside = gauss_measure(sets.Intersection(a, omega), dim=2)
+    outside = gauss_measure(sets.Intersection(sets.Complement(a), omega), dim=2)
+    rest = gauss_measure(sets.Complement(sets.Intersection(a, omega)), dim=2)
+    total = gauss_measure(omega, dim=2).value
+    assert abs(inside.value + outside.value - total) <= 1e-14
+    assert abs(inside.value + rest.value - 1.0) <= 1e-14
+
+
+def test_2d_measures_draw_no_random_number(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a measure drew a random number")
+
+    monkeypatch.setattr(importlib.import_module("gfp.measure"), "_rng", refuse)
     e = sets.Ball(center=(0.5, -0.2), radius=0.8)
-    for n in (1000, 65537):
-        pts = sample_gaussian(n, seed=4, dim=2)
-        est = gauss_measure(e, n_mc=n, seed=4)
-        assert est.value == float(np.mean(sets.contains(e, pts)))
+    omega = sets.Box(lo=(-1.5, -1.0), hi=(1.2, 1.8))
+    assert gauss_measure(sets.Difference(omega, e)).value > 0.0
+    lv = mu_limit(e, omega, dim=2, seed=7)
+    assert lv.method == "slice-quadrature" and 0.0 < lv.mu < 1.0
+
+
+def test_measures_beyond_two_dimensions_need_a_closed_form():
+    ball = sets.Ball(center=(0.0, 0.0, 0.0), radius=1.0)
+    box = sets.Box(lo=(0.0,) * 3, hi=(1.0,) * 3)
+    with pytest.raises(NotImplementedError):
+        gauss_measure(sets.Intersection(ball, box))
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,14 @@ def test_quadrature_expansion_refused_at_large_degree():
         expand(lambda x: x[:, 0], 501)
 
 
+def test_quadrature_expansion_refuses_a_negative_parseval_defect():
+    # sin's coefficients e^(-1/2) (-1)^k / sqrt(n!) on odd n are lost by
+    # degree 100: their squares sum far beyond ||sin||^2, a negative
+    # Parseval defect that a tail bound of 0 would hide
+    with pytest.raises(ValueError, match="Parseval"):
+        expand(lambda x: np.sin(x[:, 0]), 100)
+
+
 def test_expand_general_interval_mass():
     e = sets.IntervalUnion(intervals=((1.0, 2.0),))
     exp = expand(e, 500)

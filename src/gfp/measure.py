@@ -61,18 +61,37 @@ def _chi2_ball_mass(n_dim: int, radius: float) -> float:
     return 1.0 - q
 
 
+def _normalized_hermite_series(x, n_max: int, h0=1.0) -> np.ndarray:
+    """h0 h_0(x)..h0 h_{n_max}(x), h_n = He_n / sqrt(n!), x scalar or array.
+
+    The normalized recurrence h_{n+1} = (x h_n - sqrt(n) h_{n-1}) / sqrt(n+1)
+    stays O(n^-1/4) at fixed x and forward stable.  It is linear, and
+    h0 = e^(-x^2/4) gives the Hermite functions, O(1) at every x.
+    """
+    h = np.zeros((n_max + 1,) + np.shape(x))
+    h[0] = h0
+    for n in range(n_max):   # at n = 0, h[n - 1] is a row still 0
+        h[n + 1] = (x * h[n] - math.sqrt(n) * h[n - 1]) / math.sqrt(n + 1)
+    return h
+
+
 def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss rule for the 1-D gamma: E f(X) ~ weights @ f(nodes).
 
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
-    the probabilists' Hermite recurrence (zero diagonal, off-diagonal
-    sqrt(k)), and each weight is the squared first component of its
-    unit eigenvector, since gamma has mass 1.  Exact for polynomials of
-    degree < 2n; stable at every n, unlike the root-finding rules.
+    Golub-Welsch nodes (eigenvalues of the Jacobi matrix, off-diagonal
+    sqrt(k)) and Christoffel weights 1 / sum_{k<n} h_k^2, taken as
+    e^(-x^2/2) / sum psi_k^2 over the Hermite functions psi_k (0 where
+    e^(-x^2/2) underflows).  Unlike squared eigenvector components they are
+    accurate relative to themselves, so h_k times a weight stays right
+    where h_k is huge.  Exact for polynomials of degree < 2n.
     """
     off = np.sqrt(np.arange(1.0, n))
-    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return nodes, vecs[0] ** 2
+    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    with np.errstate(under="ignore"):
+        psi = _normalized_hermite_series(nodes, n - 1, np.exp(-0.25 * nodes ** 2))
+        top = np.exp(-0.5 * nodes ** 2)
+        return nodes, np.divide(top, np.einsum("ij,ij->j", psi, psi),
+                                out=np.zeros(n), where=top > 0)
 
 
 def _tensor_rule(n: int, n_dim: int) -> tuple[np.ndarray, np.ndarray]:

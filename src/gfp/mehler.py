@@ -14,7 +14,8 @@ v = log t the integrand is a smooth bump, analytic in |Im v| < pi/2, so
 the composite Gauss-Legendre panels of log_time_panels converge
 geometrically up to t = T; their 16- against 12-node difference plus the
 rounding of the sum is the error estimate.  The tail t > T is analytic
-up to the certified deviation of M_t from 1, folded into the bound.
+up to the certified deviation of M_t from 1, folded into the bound.  The
+exponent of every (node, pair) is one matrix product, the time sum another.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import SingularInputError, ToleranceError
 from .measure import _tensor_rule
-
-_LOG_SAFE_MIN = -690.0  # exp() underflow guard
 
 # The subordination time integral: Gauss-Legendre panels in v = log t up
 # to _TAIL_TIME, analytic tail beyond.
@@ -50,7 +49,7 @@ class KernelValue:
 # Mehler kernel
 # ---------------------------------------------------------------------------
 
-def _mehler_coeffs(t: float, n_dim: int) -> tuple[float, float, float]:
+def _mehler_coeffs(t: float | np.ndarray, n_dim: int):
     """(log-prefactor, coefficient of |x-y|^2, coefficient of |x|^2+|y|^2).
 
     log M_t = lp + c_r |x-y|^2 + c_s (|x|^2+|y|^2) with c_r = -e^-t/(2(1-e^-2t))
@@ -58,9 +57,9 @@ def _mehler_coeffs(t: float, n_dim: int) -> tuple[float, float, float]:
     and x.y, these two terms never cancel catastrophically, so the exponent
     stays accurate for nearly coincident points far from the origin.
     """
-    a = math.exp(-t)
-    em = -math.expm1(-2.0 * t)  # 1 - e^{-2t}, accurate for small t
-    return -0.5 * n_dim * math.log(em), -a / (2.0 * em), a / (2.0 * (1.0 + a))
+    a = np.exp(-t)
+    em = -np.expm1(-2.0 * t)  # 1 - e^{-2t}, accurate for small t
+    return -0.5 * n_dim * np.log(em), -a / (2.0 * em), a / (2.0 * (1.0 + a))
 
 
 def semigroup_mass(t: float, x, order: int = 160) -> float:
@@ -72,7 +71,8 @@ def semigroup_mass(t: float, x, order: int = 160) -> float:
     lp, c_r, c_s = _mehler_coeffs(t, x.size)
     sq = float(x @ x) + np.einsum("ij,ij->i", y, y)
     rsq = np.einsum("ij,ij->i", y - x, y - x)
-    vals = np.exp(np.maximum(lp + c_r * rsq + c_s * sq, _LOG_SAFE_MIN))
+    with np.errstate(under="ignore"):  # far nodes: exactly 0, as they should
+        vals = np.exp(lp + c_r * rsq + c_s * sq)
     return float(vals @ wprod)
 
 
@@ -101,10 +101,8 @@ def _tail_defect(rsq: np.ndarray, sq: np.ndarray, n_dim: int) -> np.ndarray:
     checking monotone decay (it always holds at T >= 40 for desk-scale
     points; a failed check inflates the bound instead of trusting it).
     """
-    probes = []
-    for tt in (_TAIL_TIME, 2.0 * _TAIL_TIME, 4.0 * _TAIL_TIME):
-        lp, c_r, c_s = _mehler_coeffs(tt, n_dim)
-        probes.append(np.abs(np.expm1(lp + c_r * rsq + c_s * sq)))
+    lp, c_r, c_s = _mehler_coeffs(_TAIL_TIME * np.vstack([1.0, 2.0, 4.0]), n_dim)
+    probes = np.abs(np.expm1(lp + c_r * rsq + c_s * sq))  # (3, pairs)
     eps = np.max(probes, axis=0)
     monotone = (probes[0] >= probes[1]) & (probes[1] >= probes[2])
     return np.where(monotone, eps, 10.0 * eps)
@@ -136,8 +134,11 @@ def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int):
     with indices ``idx``; the weight is only handed back.  Pairs are
     banded by separation so that the log-time panels of each band only
     span the region where its integrands live, and worked through in
-    blocks of at most _BLOCK pairs.  Per time node the sigma-free
-    exponent and its exp are computed once for every index.  Yields
+    blocks of at most _BLOCK pairs.  A chunk's sigma-free exponents are
+    the band's (nodes x 3) [lp, c_r, c_s] times the block's (3 x pairs)
+    [1; |x-y|^2; |x|^2+|y|^2]; their exp, in place, meets every index's
+    weights in a second product (an exp below -745 is exactly 0 and adds
+    nothing: no clamp, no underflow signal).  Yields
     (idx, weight, values, errors) per block, values and errors of shape
     (len(sigmas), len(idx)); the error adds the difference of the two
     rules of log_time_panels, the analytic-tail defect and the rounding
@@ -165,19 +166,18 @@ def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int):
             max(float(pairs(idx)[0].max()) for idx in blocks), n_dim))
         n_fine = np.count_nonzero(w[0])
         # per rule, index and node the weight times t^(-sigma/2); per node
-        # the Mehler exponent's coefficients, as columns
+        # the Mehler exponent's coefficients (lp, c_r, c_s), as one row
         w = w[:, None, :] * np.exp(-0.5 * np.multiply.outer(sigmas, vs))
-        lp, c_r, c_s = np.array([_mehler_coeffs(math.exp(v), n_dim)
-                                 for v in vs]).T[:, :, None]
+        coeffs = np.column_stack(_mehler_coeffs(np.exp(vs), n_dim))
         step = max(1, _CHUNK // vs.size)
         for idx in blocks:
             sq, rsq, weight = pairs(idx)
+            basis = np.stack([np.ones_like(rsq), rsq, sq])
             sums = np.empty((2, sigmas.size, idx.size))
-            for lo in range(0, idx.size, step):   # nodes x pairs at a time
-                part = slice(lo, lo + step)
-                g = lp + c_r * rsq[part] + c_s * sq[part]
-                sums[:, :, part] = w @ np.exp(np.maximum(g, _LOG_SAFE_MIN,
-                                                         out=g), out=g)
+            with np.errstate(under="ignore"):  # exp below -745 is exactly 0
+                for lo in range(0, idx.size, step):  # nodes x pairs at a time
+                    g = coeffs @ basis[:, lo:lo + step]
+                    sums[:, :, lo:lo + step] = w @ np.exp(g, out=g)
             values = sums[0] + tail[:, None]
             errors = (np.abs(sums[0] - sums[1])
                       + np.multiply.outer(tail, _tail_defect(rsq, sq, n_dim)))

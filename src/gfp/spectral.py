@@ -24,28 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sets
-from .measure import (_gauss_rule, abs_gamma_neg, gamma_fn, std_normal_cdf,
-                      std_normal_pdf)
+from .measure import (_gauss_rule, _normalized_hermite_series, abs_gamma_neg,
+                      gamma_fn, std_normal_cdf, std_normal_pdf)
 
-_QUAD_EXPAND_CAP = 500     # beyond this, quadrature expansion is refused
-
-
-def _normalized_hermite_series(x: float, n_max: int) -> np.ndarray:
-    """h_0(x)..h_{n_max}(x) with h_n = He_n / sqrt(n!).
-
-    The normalized three-term recurrence
-    h_{n+1} = (x h_n - sqrt(n) h_{n-1}) / sqrt(n+1) keeps values O(n^-1/4)
-    at fixed x, so large degrees neither overflow nor lose the forward
-    stability of the oscillatory regime.
-    """
-    h = np.empty(n_max + 1)
-    h[0] = 1.0
-    if n_max == 0:
-        return h
-    h[1] = x
-    for n in range(1, n_max):
-        h[n + 1] = (x * h[n] - math.sqrt(n) * h[n - 1]) / math.sqrt(n + 1)
-    return h
+_QUAD_EXPAND_CAP = 300     # beyond this, quadrature expansion is refused
 
 
 @dataclass(frozen=True)
@@ -87,7 +69,7 @@ def expand(u, degree: int) -> HermiteExpansion:
 
     Interval-union indicators use the exact endpoint identity (any degree);
     callables use Gauss-Hermite quadrature of order >= 2*degree, refused
-    above degree 500 where oscillatory integrands defeat quadrature.
+    above degree 300, the largest one a coefficient test verifies.
     Coefficients whose squares sum past the norm (a Parseval defect below
     -1e-12 ||u||^2, or NaN) are wrong, and raise ValueError too.
     """
@@ -98,12 +80,11 @@ def expand(u, degree: int) -> HermiteExpansion:
         norm_sq = float(coeffs[0])  # indicator: ||u||^2 = gamma(E) = c_0
     elif degree > _QUAD_EXPAND_CAP:
         raise ValueError(f"quadrature expansion refused above degree "
-                         f"{_QUAD_EXPAND_CAP}: oscillatory integrands defeat it")
+                         f"{_QUAD_EXPAND_CAP}: no test verifies the rule beyond")
     else:
         nodes, weights = _gauss_rule(max(2 * degree + 1, 64))
         vals = np.asarray(u(nodes.reshape(-1, 1)), dtype=float).ravel()
-        table = np.stack([_normalized_hermite_series(x, degree) for x in nodes])
-        coeffs = table.T @ (weights * vals)
+        coeffs = _normalized_hermite_series(nodes, degree) @ (weights * vals)
         norm_sq = float(weights @ vals ** 2)
     defect = norm_sq - float(coeffs @ coeffs)
     if not defect >= -1e-12 * norm_sq:   # NaN too

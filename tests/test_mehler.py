@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfp import sets
 from gfp.errors import SingularInputError, ToleranceError
+from gfp.interaction import perimeter
 from gfp.mehler import (
     _mehler_coeffs,
     kernel_K,
@@ -274,6 +276,44 @@ def test_error_bound_covers_mpmath_down_to_near_diagonal_pairs():
         if off > errs[0]:
             misses.append((n_dim, sigma, r, off / errs[0]))
     assert misses == []
+
+
+def test_error_bound_covers_mpmath_far_from_the_origin():
+    # 10 seeded pairs with 3 <= |x| <= 6 and |x - y| log-uniform in
+    # [1e-6, 1]: c_s (|x|^2 + |y|^2) reaches ~18 in the exponent, whose three
+    # terms are summed by one matrix product; every deviation from mpmath
+    # must stay inside its bar
+    rng = np.random.default_rng(11)
+    misses = []
+    for _ in range(10):
+        n_dim = int(rng.integers(1, 4))
+        sigma = float(rng.uniform(0.1, 1.5))
+        r = float(np.exp(rng.uniform(math.log(1e-6), 0.0)))
+        x, d = rng.standard_normal((2, n_dim))
+        x *= rng.uniform(3.0, 6.0) / np.linalg.norm(x)
+        y = x + r * d / np.linalg.norm(d)
+        vals, errs = kernel_batch(sigma, sq=np.array([x @ x + y @ y]),
+                                  rsq=np.array([(x - y) @ (x - y)]),
+                                  n_dim=n_dim)
+        off = abs(vals[0] - _subordination_mp(sigma, x, y))
+        if off > errs[0]:
+            misses.append((n_dim, sigma, r, off / errs[0]))
+    assert misses == []
+
+
+def test_underflow_stays_silent():
+    # two pairs 16x apart in r^2 share a band, whose first time nodes sit
+    # at the near pair's floor: there the far pair's exp underflows to an
+    # exact 0, which must neither raise nor change a value
+    sq, rsq = np.array([0.5, 0.5]), np.array([1.0, 16.0 - 1e-9])
+    plain = kernel_batch(0.5, sq=sq, rsq=rsq, n_dim=1)
+    with np.errstate(all="raise"):
+        strict = kernel_batch(0.5, sq=sq, rsq=rsq, n_dim=1)
+        kv = kernel_K(0.5, (0.0,), (4.0,))
+        br = perimeter(sets.IntervalUnion(intervals=((0.0, math.inf),)),
+                       sets.IntervalUnion(intervals=((-1.0, 1.0),)), 0.5)
+    np.testing.assert_array_equal(plain, strict)
+    assert kv.value > 0 and math.isfinite(br.total.value)
 
 
 def test_batch_rejects_coincident_pairs():

@@ -39,8 +39,11 @@ def test_orthonormality_under_gauss_hermite():
     z, w = hermgauss(64)
     nodes = math.sqrt(2.0) * z
     weights = w / math.sqrt(math.pi)
-    table = np.array([_normalized_hermite_series(x, 30) for x in nodes])
-    gram = table.T @ (weights[:, None] * table)
+    table = _normalized_hermite_series(nodes, 30)
+    # one recurrence over every node: each column is that node's own series
+    np.testing.assert_array_equal(table[:, 5], _normalized_hermite_series(
+        nodes[5], 30))
+    gram = table @ (weights[:, None] * table.T)
     np.testing.assert_allclose(gram, np.eye(31), atol=1e-10)
 
 
@@ -73,8 +76,7 @@ def test_endpoint_formula_matches_dense_grid_integration():
     exact = expand(e, 10)
     x = np.linspace(-0.5, 1.5, 400_001)
     dens = np.exp(-x ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
-    table = np.stack([_normalized_hermite_series(xi, 10) for xi in x])
-    ref = np.trapezoid(table * dens[:, None], x, axis=0)
+    ref = np.trapezoid(_normalized_hermite_series(x, 10) * dens, x, axis=1)
     np.testing.assert_allclose(exact.coeffs, ref, atol=1e-9)
 
 
@@ -97,15 +99,26 @@ def test_parseval_defect_shrinks_with_degree():
 
 def test_quadrature_expansion_refused_at_large_degree():
     with pytest.raises(ValueError):
-        expand(lambda x: x[:, 0], 501)
+        expand(lambda x: x[:, 0], 301)
 
 
-def test_quadrature_expansion_refuses_a_negative_parseval_defect():
-    # sin's coefficients e^(-1/2) (-1)^k / sqrt(n!) on odd n are lost by
-    # degree 100: their squares sum far beyond ||sin||^2, a negative
-    # Parseval defect that a tail bound of 0 would hide
+@pytest.mark.parametrize("degree", [60, 100, 200])
+def test_quadrature_expansion_of_sin_matches_exact_coefficients(degree):
+    # E[sin(X) He_n(X)] = E[sin^(n)(X)]: c_n = e^(-1/2) (-1)^((n-1)/2) / sqrt(n!)
+    # on odd n, 0 on even n; the Parseval defect stays at rounding
+    n = np.arange(degree + 1)
+    exact = np.where(n % 2, np.exp(-0.5 - 0.5 * np.array(
+        [math.lgamma(k + 1.0) for k in n])) * (-1.0) ** ((n - 1) // 2), 0.0)
+    exp = expand(lambda x: np.sin(x[:, 0]), degree)
+    np.testing.assert_allclose(exp.coeffs, exact, rtol=0, atol=1e-14)
+    assert exp.tail_bound < 1e-14
+
+
+def test_quadrature_expansion_refuses_a_nan_parseval_defect():
+    # a callable that is NaN at some nodes leaves no coefficient to trust:
+    # the Parseval check refuses it rather than report a tail bound of 0
     with pytest.raises(ValueError, match="Parseval"):
-        expand(lambda x: np.sin(x[:, 0]), 100)
+        expand(lambda x: np.where(x[:, 0] > 2.0, np.nan, 1.0), 40)
 
 
 def test_expand_general_interval_mass():

@@ -102,7 +102,7 @@ def test_quadrature_expansion_refused_at_large_degree():
         expand(lambda x: x[:, 0], 301)
 
 
-@pytest.mark.parametrize("degree", [60, 100, 200])
+@pytest.mark.parametrize("degree", [60, 100, 200, 300])
 def test_quadrature_expansion_of_sin_matches_exact_coefficients(degree):
     # E[sin(X) He_n(X)] = E[sin^(n)(X)]: c_n = e^(-1/2) (-1)^((n-1)/2) / sqrt(n!)
     # on odd n, 0 on even n; the Parseval defect stays at rounding

@@ -7,8 +7,9 @@ The limit functional is the closed-form set function
 
 computed here from four Gaussian measures and the bounds on their errors
 (zero in closed form, ~1e-14 by 2-D slices).  ``sweep`` evaluates
-s * P_s(E; Omega) along a decreasing list of s values and extrapolates
-to s = 0 with the model a + b s + c s^2: s * P_s is analytic in s
+s * P_s(E; Omega) along a decreasing list of s values, in one call of the
+perimeter route that serves every s from shared work (one quadrature
+pass, or one set of Monte Carlo draws), and extrapolates to s = 0 with the model a + b s + c s^2: s * P_s is analytic in s
 (splitting the time integral at t = 1 and expanding t^(-s/2) gives
 mu + m_0 s + O(s^2)), so the fit is a truncated Taylor series.  The module
 also exposes the non-additivity defect, a subadditivity checker with a
@@ -25,12 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sets
-from .interaction import (InteractionEstimate, PerimeterBreakdown,
-                          _check_disjoint, _operand_dim, _quadrature_1d,
+from .interaction import (InteractionEstimate, _check_disjoint, _perimeters,
                           _three_pieces, perimeter)
 from .measure import MeasureEstimate, gauss_measure
 
 DEFAULT_S_LIST = tuple(2.0 ** -k for k in range(1, 9))
+_R = 3.0   # radius of the ball B_R that both lower bounds restrict to
 
 
 @dataclass(frozen=True)
@@ -132,16 +133,7 @@ def sweep(e: sets.SetExpr, omega: sets.SetExpr = sets.FullSpace(),
     if s_arr.size < 4:
         raise ValueError("sweep needs at least 4 distinct s values to fit "
                          "the 3-parameter extrapolation model")
-    if not (np.all(s_arr > 0) and np.all(s_arr < 1)):
-        raise ValueError("s values must lie in (0,1)")
-    pieces = _three_pieces(e, omega)
-    if all(_operand_dim(pa, pb, dim) == 1 for pa, pb in pieces):
-        # one kernel pass per piece serves every s
-        rows = zip(*(_quadrature_1d(pa, pb, s_arr) for pa, pb in pieces))
-        totals = [PerimeterBreakdown(*row).total for row in rows]
-    else:
-        totals = [perimeter(e, omega, s, seed=seed, dim=dim).total
-                  for s in s_arr]
+    totals = [br.total for br in _perimeters(e, omega, s_arr, seed, dim)]
     vals = s_arr * np.array([est.value for est in totals])
     errs = s_arr * np.array([est.error for est in totals])
     coeffs, resid = _fit_small_s(s_arr, vals)
@@ -178,7 +170,7 @@ def additivity_defect(a: sets.SetExpr, b: sets.SetExpr,
 
 
 def interaction_lower_bound(a: sets.SetExpr, b: sets.SetExpr,
-                            radius: float = 3.0, dim: int = 1) -> float:
+                            dim: int = 1) -> float:
     """s-independent lower bound for s * L_s(A, B) for disjoint A, B.
 
     Restricting both sets to the ball B_R and the time integral to
@@ -186,27 +178,27 @@ def interaction_lower_bound(a: sets.SetExpr, b: sets.SetExpr,
 
         s L_s(A, B) >= 2 exp(-2 R^2 / (e^2 - 1)) g(A & B_R) g(B & B_R).
     """
-    ball = sets.Ball(center=(0.0,) * dim, radius=radius)
+    ball = sets.Ball(center=(0.0,) * dim, radius=_R)
     ga = gauss_measure(sets.Intersection(a, ball), dim=dim).value
     gb = gauss_measure(sets.Intersection(b, ball), dim=dim).value
-    return 2.0 * math.exp(-2.0 * radius ** 2 / (math.e ** 2 - 1.0)) * ga * gb
+    return 2.0 * math.exp(-2.0 * _R ** 2 / (math.e ** 2 - 1.0)) * ga * gb
 
 
 def sweep_row_lower_bound(e: sets.SetExpr, omega: sets.SetExpr, s: float,
-                          radius: float = 3.0, dim: int = 1) -> float:
+                          dim: int = 1) -> float:
     """Liminf-shaped floor for a single sweep row s * P_s(E; Omega).
 
     2 exp(-2 e^{-2/s} R^2 / (1 - e^{-2/s})) s^{s/2} times the three
     B_R-truncated measure products; every finite-perimeter row must sit
     above it within estimator error.
     """
-    ball = sets.Ball(center=(0.0,) * dim, radius=radius)
+    ball = sets.Ball(center=(0.0,) * dim, radius=_R)
 
     def mass(expr):
         return gauss_measure(sets.Intersection(expr, ball), dim=dim).value
 
     q = math.exp(-2.0 / s)
-    pref = 2.0 * math.exp(-2.0 * q * radius ** 2 / (1.0 - q)) * s ** (s / 2.0)
+    pref = 2.0 * math.exp(-2.0 * q * _R ** 2 / (1.0 - q)) * s ** (s / 2.0)
     return pref * sum(mass(a) * mass(b) for a, b in _three_pieces(e, omega))
 
 
@@ -283,14 +275,13 @@ class DivergentExample:
         return perimeter(self.intervals, omega, self.s, dim=1).total
 
 
-def divergent_example(pairs: int, s: float,
-                      series_terms: int = 10 ** 6) -> DivergentExample:
+def divergent_example(pairs: int, s: float) -> DivergentExample:
     """Build the truncated divergent set and its analytic lower bound."""
     if pairs < 2:
         raise ValueError("need at least 2 interval pairs")
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0,1), got {s}")
-    n_beta = max(2 * pairs + 3, series_terms)
+    n_beta = max(2 * pairs + 3, 10 ** 6)
     beta = beta_sequence(n_beta)
     total = float(beta.sum())
     sigma = np.concatenate([[0.0], np.cumsum(beta)])

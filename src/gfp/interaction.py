@@ -3,16 +3,20 @@
 Computes the interaction L_s(A,B) = int_A dgamma int_B K_s dgamma, the
 three-term fractional perimeter of a set inside a window, the weighted
 Euclidean-kernel competitor functional, and the direct double-integral
-Sobolev seminorm.
+Sobolev seminorm.  Perimeter, J^lambda and the s-sweep share one route:
+_perimeters splits E into three disjoint operand pairs, and
+_interactions evaluates a pair at a whole list of s.  The public
+interaction alone checks its operands for overlap.
 
 In one dimension, and for a half-space against its complement in any,
 both operands reduce to interval unions and a tensor Gauss-Legendre rule
 on a mesh graded toward every near-contact endpoint integrates the
-|x-y|^(-1-s) singularity to near machine precision.  Other N-D operands
-take _N_PAIRS Monte Carlo pairs: x from the conditioned Gaussian on A, y
-from an equal mixture of the conditioned Gaussian on B and a shell
-around x, which keeps the variance finite near the diagonal.  Callable
-seminorms use tensor Gauss-Hermite in space and log-time panels in time.
+|x-y|^(-1-s) singularity to near machine precision, every s in one pass.
+Other N-D operands take _N_PAIRS Monte Carlo pairs, drawn once for every
+s: x from the conditioned Gaussian on A, y from an equal mixture of the
+conditioned Gaussian on B and a shell around x, which keeps the variance
+finite near the diagonal.  Callable seminorms use tensor Gauss-Hermite in
+space and log-time panels in time.
 """
 
 from __future__ import annotations
@@ -203,12 +207,8 @@ def _corner_correction(cells_a, cells_b, sigma, const):
     return total
 
 
-def _gauss_density_1d(x):
-    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def _lambda_density_1d(x):
-    return np.exp(-0.25 * x * x) / math.sqrt(2.0 * math.pi)
+def _density_1d(x, c):
+    return np.exp(-c * x * x) / math.sqrt(2.0 * math.pi)
 
 
 def _grid_pairs(cells_a, cells_b, density, order):
@@ -246,36 +246,30 @@ def _quadrature_1d(a: SetExpr, b: SetExpr, s_values, lam=False):
     correction at endpoints the operands share.
     """
     s_values = [float(s) for s in s_values]
-    pair = _intervals_1d(a, b)
-    if pair is None:
-        return [ZERO_ESTIMATE] * len(s_values)
-    ivs_a, ivs_b = pair
+    ivs_a, ivs_b = sets.to_intervals(a), sets.to_intervals(b)
+    if sets._intersect_1d(ivs_a, ivs_b):
+        raise OverlapError("operands overlap (nonempty interval intersection)")
     if lam:
-        density, scale, base = _lambda_density_1d, _SQRT2, R_TRUNC_LAMBDA
+        decay, scale, base = 0.25, _SQRT2, R_TRUNC_LAMBDA
     else:
-        density, scale, base = _gauss_density_1d, 1.0, R_TRUNC_GAUSS
+        decay, scale, base = 0.5, 1.0, R_TRUNC_GAUSS
     r_trunc = _trunc_radius(base, scale, ivs_a, ivs_b)
     clip_a, tail_a = _clip_intervals(ivs_a, r_trunc, scale)
     clip_b, tail_b = _clip_intervals(ivs_b, r_trunc, scale)
-    if not clip_a or not clip_b:
+    if not clip_a or not clip_b:   # an empty operand
         return [ZERO_ESTIMATE] * len(s_values)
     cells_a = _mesh_cells(clip_a, clip_b)
     cells_b = _mesh_cells(clip_b, clip_a)
-    grids = [_grid_pairs(cells_a, cells_b, density, order)
-             for order in (_GL_ORDER, 4)]
+    grids = [_grid_pairs(cells_a, cells_b, partial(_density_1d, c=decay),
+                         order) for order in (_GL_ORDER, 4)]
     if lam:
         far = [r_trunc ** (-(1.0 + s)) * 4.0 for s in s_values]
         const = [1.0] * len(s_values)
         sums = _euclidean_sums
     else:
-        sep = min(
-            (_point_set_distance(p, ivs_b)
-             for iv in ivs_a for p in iv if math.isfinite(p)),
-            default=r_trunc,
-        )
-        # kernel majorant at the truncation radius bounds the clipped tails
-        far = kernel_upper_bound_radial(np.array(s_values),
-                                        max(sep, r_trunc), 1)
+        # the radial majorant decreases, so its value at the truncation
+        # radius bounds the kernel on every clipped tail
+        far = kernel_upper_bound_radial(np.array(s_values), r_trunc, 1)
         # the r -> 0 constant of the kernel, as in kernel_lower_bound
         const = [2.0 ** (s + 0.5) * gamma_fn((s + 1.0) / 2.0)
                  for s in s_values]
@@ -306,19 +300,9 @@ def _check_disjoint(a, b, dim):
     """Refuse operands whose intersection has Gaussian mass above its
     error; a set and its complement are disjoint by construction."""
     if sets.complement(a) != b:
-        both = gauss_measure(sets.Intersection(a, b), dim=dim)
+        both = gauss_measure(sets.intersect(a, b), dim=dim)
         if both.value > both.error:
             raise OverlapError(f"operands overlap on {both.value:.3g} of mass")
-
-
-def _intervals_1d(a: SetExpr, b: SetExpr):
-    """Both operands as interval unions; None if either is empty."""
-    ivs_a, ivs_b = sets.to_intervals(a), sets.to_intervals(b)
-    if not ivs_a or not ivs_b:
-        return None
-    if sets._intersect_1d(ivs_a, ivs_b):
-        raise OverlapError("operands overlap (nonempty interval intersection)")
-    return ivs_a, ivs_b
 
 
 def _on_the_normal(a: SetExpr, b: SetExpr):
@@ -353,8 +337,12 @@ def _three_pieces(e: SetExpr, omega: SetExpr):
 
 def interaction(a: SetExpr, b: SetExpr, s: float, *, seed: int = 0,
                 dim: int | None = None) -> InteractionEstimate:
-    """Interaction energy of disjoint sets under the subordinated kernel of index s."""
-    return _interaction(a, b, s, seed, dim, _draws(seed, [(a, b)]))
+    """Interaction energy of disjoint sets under the subordinated kernel of
+    index s; N-D operands whose intersection has mass are refused here."""
+    n_dim = _operand_dim(a, b, dim)
+    if n_dim > 1:
+        _check_disjoint(a, b, n_dim)
+    return _interactions(a, b, (s,), seed, n_dim, _draws(seed, [(a, b)]))[0]
 
 
 def _draws(seed, pairs):
@@ -376,25 +364,32 @@ def _draws(seed, pairs):
     return draw
 
 
-def _interaction(a, b, s, seed, dim, draw):
-    """interaction, with the Monte Carlo route's points from ``draw``."""
-    if not 0 < s < 1:
-        raise ValueError(f"s must lie in (0,1), got {s}")
+def _interactions(a, b, s_values, seed, dim, draw, lam=False):
+    """The interaction of disjoint a and b at each s, or J^lambda's with
+    ``lam`` (N = 1 only).  The 1-D rule, also that of a half-space against
+    its complement in any N, serves every s in one pass; the Monte Carlo
+    route takes its points from ``draw`` once and reuses them for every s."""
+    for s in s_values:
+        if not 0 < s < 1:
+            raise ValueError(f"s must lie in (0,1), got {s}")
     n_dim = _operand_dim(a, b, dim)
+    if lam and n_dim != 1:
+        raise NotImplementedError("j_lambda is implemented for N = 1")
     line = _on_the_normal(a, b) if n_dim > 1 else None
     if n_dim == 1 or line:
-        return _quadrature_1d(*(line or (a, b)), (s,))[0]
+        return _quadrature_1d(*(line or (a, b)), s_values, lam)
 
     # an Empty operand has closed-form mass 0: no probe, no draws
     mass_a = gauss_measure(a, dim=n_dim).value
     mass_b = gauss_measure(b, dim=n_dim).value
     if mass_a == 0.0 or mass_b == 0.0:
-        return ZERO_ESTIMATE
-    _check_disjoint(a, b, n_dim)
-    return _interaction_mc(a, b, s, seed, n_dim, mass_a, mass_b, draw)
+        return [ZERO_ESTIMATE] * len(s_values)
+    x, y_gauss = draw(n_dim, a, 1), draw(n_dim, b, 2)
+    return [_interaction_mc(b, s, seed, mass_a, mass_b, x, y_gauss)
+            for s in s_values]
 
 
-def _interaction_mc(a, b, sigma, seed, n_dim, mass_a, mass_b, draw):
+def _interaction_mc(b, sigma, seed, mass_a, mass_b, x, y_gauss):
     """Mixture importance sampling of the pair integral.
 
     x ~ gamma|_A.  y from an equal mixture of gamma|_B and a shell around
@@ -402,9 +397,9 @@ def _interaction_mc(a, b, sigma, seed, n_dim, mass_a, mass_b, draw):
     soaks up the near-diagonal kernel mass so the weighted integrand has
     finite variance even for touching operands).
     """
-    n = _N_PAIRS
-    idx, sq, rsq, gauss_pdf_y, q = _mixture_pairs(a, b, sigma, seed, n,
-                                                  n_dim, mass_b, draw)
+    n, n_dim = x.shape
+    idx, sq, rsq, gauss_pdf_y, q = _mixture_pairs(b, sigma, seed, mass_b,
+                                                  x, y_gauss)
     weighted = np.zeros(n)
     if idx.size:
         kv, _ = kernel_batch(sigma, sq=sq, rsq=rsq, n_dim=n_dim)
@@ -415,12 +410,11 @@ def _interaction_mc(a, b, sigma, seed, n_dim, mass_a, mass_b, draw):
     return InteractionEstimate(mass_a * mean, mass_a * se, "monte-carlo", n)
 
 
-def _mixture_pairs(a, b, sigma, seed, n, n_dim, mass_b, draw):
-    """The draws of _interaction_mc, worked through in blocks, reduced to
+def _mixture_pairs(b, sigma, seed, mass_b, x, y_gauss):
+    """The pairs of _interaction_mc, worked through in blocks, reduced to
     the pairs with y in B and q > 0: their indices, |x|^2 + |y|^2,
-    |x - y|^2, gamma's density at y and the mixture density q at y.
-    The full-size draws are freed on return, before the kernel call."""
-    x, y_gauss = draw(n_dim, a, 1), draw(n_dim, b, 2)
+    |x - y|^2, gamma's density at y and the mixture density q at y."""
+    n, n_dim = x.shape
     rng = _rng(seed, 3)
     take_shell = rng.random(n) < 0.5
     # shell radii by inverse CDF of the truncated power law
@@ -461,14 +455,8 @@ def _mixture_pairs(a, b, sigma, seed, n, n_dim, mass_b, draw):
 
 def perimeter(e: SetExpr, omega: SetExpr, s: float, *, seed: int = 0,
               dim: int | None = None) -> PerimeterBreakdown:
-    """Three-term fractional perimeter of E relative to the window Omega.
-
-    Pieces 1-2 share the draws of E & Omega and pieces 1 and 3 those of
-    E^c & Omega: in the order 2, 1, 3, one shared draw is held at a time."""
-    pieces = _three_pieces(e, omega)
-    draw = _draws(seed, pieces)
-    parts = {k: _interaction(*pieces[k], s, seed, dim, draw) for k in (1, 0, 2)}
-    return PerimeterBreakdown(*(parts[k] for k in range(3)))
+    """Three-term fractional perimeter of E relative to the window Omega."""
+    return _perimeters(e, omega, (s,), seed, dim)[0]
 
 
 def j_lambda(e: SetExpr, omega: SetExpr, s: float, *,
@@ -480,14 +468,19 @@ def j_lambda(e: SetExpr, omega: SetExpr, s: float, *,
     in-scope asymptotics live there (the kernel has no subordination
     structure to exploit elsewhere).
     """
-    if not 0 < s < 1:
-        raise ValueError(f"s must lie in (0,1), got {s}")
-    parts = []
-    for pa, pb in _three_pieces(e, omega):
-        if _operand_dim(pa, pb, dim) != 1:
-            raise NotImplementedError("j_lambda is implemented for N = 1")
-        parts.extend(_quadrature_1d(pa, pb, (s,), lam=True))
-    return PerimeterBreakdown(*parts)
+    return _perimeters(e, omega, (s,), 0, dim, lam=True)[0]
+
+
+def _perimeters(e, omega, s_values, seed, dim, lam=False):
+    """One PerimeterBreakdown per s, of the perimeter or, with ``lam``, of
+    J^lambda.  The pieces are disjoint by construction: nothing checks them.
+    Pieces 1-2 share the draws of E & Omega and pieces 1 and 3 those of
+    E^c & Omega: in the order 2, 1, 3, one shared draw is held at a time."""
+    pieces = _three_pieces(e, omega)
+    draw = _draws(seed, pieces)
+    parts = {k: _interactions(*pieces[k], s_values, seed, dim, draw, lam)
+             for k in (1, 0, 2)}
+    return [PerimeterBreakdown(*row) for row in zip(*map(parts.get, range(3)))]
 
 
 # ---------------------------------------------------------------------------

@@ -62,12 +62,12 @@ def _mehler_coeffs(t: float | np.ndarray, n_dim: int):
     return -0.5 * n_dim * np.log(em), -a / (2.0 * em), a / (2.0 * (1.0 + a))
 
 
-def semigroup_mass(t: float, x, order: int = 160) -> float:
+def semigroup_mass(t: float, x) -> float:
     """Gauss-Hermite value of int M_t(x, .) dgamma; equals 1 analytically."""
     if not t > 0:
         raise ValueError("t must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    y, wprod = _tensor_rule(order, x.size)
+    y, wprod = _tensor_rule(160, x.size)
     lp, c_r, c_s = _mehler_coeffs(t, x.size)
     sq = float(x @ x) + np.einsum("ij,ij->i", y, y)
     rsq = np.einsum("ij,ij->i", y - x, y - x)

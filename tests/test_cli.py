@@ -9,6 +9,7 @@ import pytest
 from gfp import sets
 from gfp.cli import main
 from gfp.mehler import kernel_K
+from gfp.spectral import expand, spectral_seminorm_sq
 
 
 @pytest.fixture()
@@ -148,6 +149,17 @@ def test_spectral_chi_refuses_divergent_index(half_json):
     with pytest.raises(SystemExit) as info:
         main(["spectral", "--u", "chi", "--set", half_json, "--s", "0.6"])
     assert info.value.code == 2
+
+
+def test_spectral_chi_matches_library(half_json, tmp_path):
+    out = tmp_path / "spec.json"
+    assert main(["spectral", "--u", "chi", "--set", half_json, "--s", "0.25",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    e = sets.IntervalUnion(intervals=((0.0, math.inf),))
+    ref = spectral_seminorm_sq(expand(e, 10 ** 5), 0.25)
+    assert doc["value"] == ref.value
+    assert doc["truncation"] == ref.truncation
 
 
 def test_example_grows_with_pairs(capsys):

@@ -11,6 +11,7 @@ from gfp import sets
 from gfp.errors import OverlapError
 from gfp.interaction import (
     _clip_intervals,
+    _three_pieces,
     interaction,
     j_lambda,
     perimeter,
@@ -54,8 +55,13 @@ def test_interaction_touching_sets_is_finite():
 
 
 def test_interaction_overlap_raises():
-    with pytest.raises(OverlapError):
-        interaction(UNIT, sets.IntervalUnion(intervals=((0.5, 2.0),)), 0.5)
+    # 1-D operands are checked by their intervals, N-D ones by the mass of
+    # their intersection before the route is chosen
+    for a, b in [(UNIT, sets.IntervalUnion(intervals=((0.5, 2.0),))),
+                 (sets.Ball(center=(0.0, 0.0), radius=1.0),
+                  sets.Box(lo=(0.5, -3.0), hi=(3.0, 3.0)))]:
+        with pytest.raises(OverlapError):
+            interaction(a, b, 0.5)
 
 
 def test_interaction_empty_operand_is_zero():
@@ -247,10 +253,14 @@ def test_perimeter_skips_empty_pieces_in_higher_dimension():
     assert p.value > 0
 
 
-def test_windowed_perimeter_draws_each_piece_once(monkeypatch):
-    # pieces 1-2 share the draws of E & Omega and pieces 1 and 3 those of
-    # E^c & Omega: four restricted draws, not six, and each piece is the
-    # interaction of its operands, bit for bit
+# a 2-D set that crosses its window: all three pieces are nonempty
+WINDOWED_DISC = sets.Ball(center=(0.9, -0.3), radius=0.9)
+WINDOW_BOX = sets.Box(lo=(-1.2, -1.5), hi=(1.4, 1.1))
+
+
+def count_restricted_draws(monkeypatch):
+    """The (set, stream) of every restricted draw gfp.interaction makes
+    from now on, in order."""
     module = importlib.import_module("gfp.interaction")
     real, restricted = module.sample_gaussian, []
 
@@ -260,13 +270,36 @@ def test_windowed_perimeter_draws_each_piece_once(monkeypatch):
         return real(n, seed=seed, dim=dim, restrict=restrict, stream=stream)
 
     monkeypatch.setattr(module, "sample_gaussian", counting)
-    e = sets.Ball(center=(0.9, -0.3), radius=0.9)   # crosses the window
-    omega = sets.Box(lo=(-1.2, -1.5), hi=(1.4, 1.1))
-    br = perimeter(e, omega, 0.4, seed=5, dim=2)
+    return restricted
+
+
+def test_windowed_perimeter_draws_each_piece_once(monkeypatch):
+    # pieces 1-2 share the draws of E & Omega and pieces 1 and 3 those of
+    # E^c & Omega: four restricted draws, not six, and each piece is the
+    # interaction of its operands, bit for bit
+    restricted = count_restricted_draws(monkeypatch)
+    br = perimeter(WINDOWED_DISC, WINDOW_BOX, 0.4, seed=5, dim=2)
     assert len(restricted) == len(set(restricted)) == 4
-    pieces = module._three_pieces(e, omega)
+    pieces = _three_pieces(WINDOWED_DISC, WINDOW_BOX)
     assert [br.local, br.nonlocal_out, br.nonlocal_in] == [
         interaction(pa, pb, 0.4, seed=5, dim=2) for pa, pb in pieces]
+
+
+def test_windowed_perimeter_measures_no_piece_intersection(monkeypatch):
+    # the pieces of the split are disjoint by construction, so the
+    # perimeter never measures the intersection of two of them
+    module = importlib.import_module("gfp.interaction")
+    real, measured = module.gauss_measure, []
+
+    def recording(expr, dim=None):
+        measured.append(expr)
+        return real(expr, dim=dim)
+
+    monkeypatch.setattr(module, "gauss_measure", recording)
+    perimeter(WINDOWED_DISC, WINDOW_BOX, 0.4, seed=5, dim=2)
+    pieces = _three_pieces(WINDOWED_DISC, WINDOW_BOX)
+    both = {sets.Intersection(pa, pb) for pa, pb in pieces}
+    assert measured and not both & set(measured)
 
 
 def test_halfplane_row_equals_the_halfline_row():

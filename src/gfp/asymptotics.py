@@ -61,7 +61,6 @@ class SweepResult:
     uncertainty: float
     fit_coefficients: tuple[float, float, float]   # (a, b, c)
     fit_residual: float
-    divergence_suspected: bool
 
     def _rows(self):
         return zip(map(float, self.s_values), map(float, self.values),
@@ -80,7 +79,6 @@ class SweepResult:
             "uncertainty": self.uncertainty,
             "fit": {"model": "a + b*s + c*s**2", "a": a, "b": b, "c": c,
                     "residual": self.fit_residual},
-            "divergence_suspected": self.divergence_suspected,
         })
 
 
@@ -137,20 +135,12 @@ def sweep(e: sets.SetExpr, omega: sets.SetExpr = sets.FullSpace(),
     vals = s_arr * np.array([est.value for est in totals])
     errs = s_arr * np.array([est.error for est in totals])
     coeffs, resid = _fit_small_s(s_arr, vals)
-    # Error growth as s shrinks signals a perimeter that is not finite:
-    # for finite perimeter the rows stay bounded while a divergent set's
-    # quadrature error estimate inflates with the near-diagonal mass.
-    rel = errs / np.maximum(np.abs(vals), 1e-300)
-    divergent = bool(np.all(np.diff(rel[-3:]) > 0)
-                     and rel[-1] > 100.0 * rel[0])
-    uncertainty = max(float(np.max(errs)), resid)
     return SweepResult(
         s_values=s_arr, values=vals, errors=errs,
         methods=tuple(est.method for est in totals),
-        extrapolated_limit=float(coeffs[0]), uncertainty=uncertainty,
-        fit_coefficients=tuple(float(c) for c in coeffs),
-        fit_residual=resid, divergence_suspected=divergent,
-    )
+        extrapolated_limit=float(coeffs[0]),
+        uncertainty=max(float(np.max(errs)), resid),
+        fit_coefficients=tuple(float(c) for c in coeffs), fit_residual=resid)
 
 
 # ---------------------------------------------------------------------------

@@ -129,26 +129,24 @@ def _graded_cells(a: float, b: float, grade_lo: bool, grade_hi: bool):
     if grade_lo and grade_hi:
         m = 0.5 * (a + b)
         return _graded_cells(a, m, True, False) + _graded_cells(m, b, False, True)
-    cells = []
-    if not (grade_lo or grade_hi):
-        n = max(1, int(math.ceil((b - a) / _H_MAX)))
-        pts = np.linspace(a, b, n + 1)
-        return list(zip(pts[:-1], pts[1:]))
-    length = b - a
-    # breakpoints accumulate at the graded end with ratio-2 refinement
-    fracs = [2.0 ** (-k) for k in range(_GRADE_LEVELS + 1)]
-    if grade_lo:
-        pts = [a] + [a + length * f for f in reversed(fracs)]
-    else:
-        pts = [b - length * f for f in fracs] + [b]
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if hi - lo > _H_MAX:
-            n = int(math.ceil((hi - lo) / _H_MAX))
-            sub = np.linspace(lo, hi, n + 1)
-            cells.extend(zip(sub[:-1], sub[1:]))
-        else:
-            cells.append((lo, hi))
-    return cells
+    pts = [a, b]
+    if grade_lo or grade_hi:
+        # breakpoints from the graded end outward, with ratio-2 refinement
+        end, sign = (a, 1.0) if grade_lo else (b, -1.0)
+        pts = [end] + [end + sign * (b - a) * 2.0 ** -k
+                       for k in range(_GRADE_LEVELS, -1, -1)]
+        # a Gauss node on the graded end would meet the other operand's
+        # node there (x = y): merge the innermost cell outward until none
+        # of its nodes, placed as _mesh_nodes places them, rounds onto it
+        while np.any(_mesh_nodes([[sorted(pts[:2])]], np.ones_like,
+                                 _GL_ORDER)[0] == end):
+            del pts[1]
+        pts = pts if grade_lo else pts[::-1]
+    # then cells at most _H_MAX wide, their ends as Python floats
+    subs = [[lo, hi] if hi - lo <= _H_MAX else np.linspace(
+        lo, hi, 1 + math.ceil((hi - lo) / _H_MAX)).tolist()
+        for lo, hi in zip(pts[:-1], pts[1:])]
+    return [cell for sub in subs for cell in zip(sub[:-1], sub[1:])]
 
 
 def _mesh_cells(ivs, other_ivs):
@@ -224,13 +222,14 @@ def _grid_pairs(cells_a, cells_b, density, order):
     return xa.size * xb.size, pairs
 
 
-def _euclidean_sums(s_values, *, n_pairs, pairs):
-    """Weighted sums of |x - y|^(-1-s) and of their rounding bound, per s."""
+def _euclidean_sums(s_values, *, n_pairs, pairs, checked=True):
+    """Weighted sums of |x - y|^(-1-s) and, if ``checked``, of their
+    rounding bound, per s."""
     value = np.zeros(len(s_values))
     for lo in range(0, n_pairs, _BLOCK):
         _, rsq, w = pairs(np.arange(lo, min(lo + _BLOCK, n_pairs)))
         value += [(rsq ** (-0.5 * (1.0 + s)) * w).sum() for s in s_values]
-    return value, value * 1e-14
+    return value, value * 1e-14 if checked else None
 
 
 def _quadrature_1d(a: SetExpr, b: SetExpr, s_values, lam=False):
@@ -274,8 +273,10 @@ def _quadrature_1d(a: SetExpr, b: SetExpr, s_values, lam=False):
         const = [2.0 ** (s + 0.5) * gamma_fn((s + 1.0) / 2.0)
                  for s in s_values]
         sums = partial(kernel_sums, n_dim=1)
-    (value, err_kernel), (v4, _) = (sums(s_values, n_pairs=n, pairs=pairs)
-                                    for n, pairs in grids)
+    # the order-4 grid only feeds the residual: its values need no bar
+    (value, err_kernel), (v4, _) = (
+        sums(s_values, n_pairs=n, pairs=pairs, checked=checked)
+        for (n, pairs), checked in zip(grids, (True, False)))
     # mesh residual: same cells, lower order; it also covers what the
     # corner correction leaves behind
     err = err_kernel + np.abs(value - v4) + (tail_a + tail_b) * np.asarray(far)
@@ -402,7 +403,8 @@ def _interaction_mc(b, sigma, seed, mass_a, mass_b, x, y_gauss):
                                                   x, y_gauss)
     weighted = np.zeros(n)
     if idx.size:
-        kv, _ = kernel_batch(sigma, sq=sq, rsq=rsq, n_dim=n_dim)
+        kv, _ = kernel_batch(sigma, sq=sq, rsq=rsq, n_dim=n_dim,
+                             checked=False)
         weighted[idx] = kv * gauss_pdf_y / q
 
     mean = float(weighted.mean())

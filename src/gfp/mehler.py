@@ -12,10 +12,12 @@ Evaluation: one routine, _subordinate, serves a single pair, kernel_batch
 and the weighted sums of kernel_sums, for one index sigma or many.  In
 v = log t the integrand is a smooth bump, analytic in |Im v| < pi/2, so
 the composite Gauss-Legendre panels of log_time_panels converge
-geometrically up to t = T; their 16- against 12-node difference plus the
-rounding of the sum is the error estimate.  The tail t > T is analytic
-up to the certified deviation of M_t from 1, folded into the bound.  The
-exponent of every (node, pair) is one matrix product, the time sum another.
+geometrically from a floor ~e^-40 below the peak (per factor-4 band of
+|x-y|^2) up to t = T; their 16- against 12-node difference plus the
+rounding of the sum is the error estimate, which callers that read values
+only skip.  The tail t > T is analytic up to the certified deviation of
+M_t from 1, folded into the bound.  The exponent of every (node, pair) is
+one matrix product, the time sum another.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ _TAIL_TIME = 40.0
 _PANEL_WIDTH = 2.0
 _LEGENDRE = (leggauss(16), leggauss(12))  # per panel: rule, error estimate
 _BLOCK = 32768  # pairs per block wherever no per-pair array is kept
-_CHUNK = 2 ** 17  # time nodes x pairs per exp and matrix product
+_CHUNK = 2 ** 15  # time nodes x pairs per exp and matrix product
 REL_TOL = 1e-8  # kernel_K's default: a larger relative error bound raises
 
 
@@ -81,12 +83,12 @@ def semigroup_mass(t: float, x) -> float:
 # ---------------------------------------------------------------------------
 
 def _t_floor(rsq: float, sq: float, n_dim: int) -> float:
-    """Time below which the integrand is provably negligible (rel ~ e^-120).
+    """Time below which the integrand is provably negligible (rel ~ e^-40).
 
     Uses exp(phi_t) <= exp(-r^2/(4 sinh t) + (|x|^2+|y|^2)/4) and inflates
     the cut to absorb the algebraic prefactor growth.
     """
-    cut = 120.0 + sq / 4.0
+    cut = 40.0 + sq / 4.0
     t0 = rsq / (4.0 * cut)
     if 0 < t0 < 1:
         cut += (n_dim / 2.0 + 1.5) * (-math.log(t0))
@@ -127,7 +129,7 @@ def log_time_panels(t_lo: float) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(v), w
 
 
-def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int):
+def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int, checked=True):
     """The one subordination rule, for every index in ``sigmas`` at once.
 
     ``pairs(idx)`` returns (|x|^2+|y|^2, |x-y|^2, weight) of the pairs
@@ -142,7 +144,8 @@ def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int):
     (idx, weight, values, errors) per block, values and errors of shape
     (len(sigmas), len(idx)); the error adds the difference of the two
     rules of log_time_panels, the analytic-tail defect and the rounding
-    of the sum.
+    of the sum.  Unless ``checked``, only the 16-node rule is evaluated
+    and errors is None.
     """
     if not n_pairs:
         return
@@ -153,7 +156,7 @@ def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int):
         if np.any(rsq <= 0.0):
             raise SingularInputError(
                 "the subordinated kernel is singular at x = y")
-        band[idx] = np.floor(np.log2(rsq) / 4.0)  # factor-16 bands in r^2
+        band[idx] = np.floor(np.log2(rsq) / 2.0)  # factor-4 bands in r^2
     tail = (2.0 / sigmas) * _TAIL_TIME ** (-0.5 * sigmas)
     for b in range(band.min(), band.max() + 1):
         members = np.flatnonzero(band == b)
@@ -165,6 +168,8 @@ def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int):
             min(float(pairs(idx)[1].min()) for idx in blocks),
             max(float(pairs(idx)[0].max()) for idx in blocks), n_dim))
         n_fine = np.count_nonzero(w[0])
+        if not checked:  # the 16-node rule alone
+            vs, w = vs[:n_fine], w[:1, :n_fine]
         # per rule, index and node the weight times t^(-sigma/2); per node
         # the Mehler exponent's coefficients (lp, c_r, c_s), as one row
         w = w[:, None, :] * np.exp(-0.5 * np.multiply.outer(sigmas, vs))
@@ -173,51 +178,55 @@ def _subordinate(sigmas, n_pairs: int, pairs, n_dim: int):
         for idx in blocks:
             sq, rsq, weight = pairs(idx)
             basis = np.stack([np.ones_like(rsq), rsq, sq])
-            sums = np.empty((2, sigmas.size, idx.size))
+            sums = np.empty((len(w), sigmas.size, idx.size))
             with np.errstate(under="ignore"):  # exp below -745 is exactly 0
                 for lo in range(0, idx.size, step):  # nodes x pairs at a time
                     g = coeffs @ basis[:, lo:lo + step]
                     sums[:, :, lo:lo + step] = w @ np.exp(g, out=g)
-            values = sums[0] + tail[:, None]
-            errors = (np.abs(sums[0] - sums[1])
-                      + np.multiply.outer(tail, _tail_defect(rsq, sq, n_dim)))
-            errors += values * 1e-13  # neglected sliver below the time floor
-            # rounding of the positive-term sum: one ulp per summed node
-            errors += n_fine * 2.0 ** -52 * sums[0]
+            values, errors = sums[0] + tail[:, None], None
+            if checked:
+                errors = (np.abs(sums[0] - sums[1]) + np.multiply.outer(
+                    tail, _tail_defect(rsq, sq, n_dim)))
+                errors += values * 1e-13  # neglected sliver below the floor
+                # rounding of the positive-term sum: one ulp per summed node
+                errors += n_fine * 2.0 ** -52 * sums[0]
             yield idx, weight, values, errors
 
 
 def kernel_batch(sigma: float, *, sq: np.ndarray, rsq: np.ndarray,
-                 n_dim: int) -> tuple[np.ndarray, np.ndarray]:
+                 n_dim: int, checked: bool = True):
     """K_sigma for many pairs at once, given |x|^2+|y|^2 and |x-y|^2.
 
-    Returns (values, error bounds), one per pair.
+    Returns (values, error bounds), one per pair; unless ``checked``, the
+    bounds are not computed and come back as None.
     """
     sq, rsq = (np.asarray(a, dtype=float).ravel() for a in (sq, rsq))
-    out, err = np.empty_like(rsq), np.empty_like(rsq)
+    out, err = np.empty((2, rsq.size))
     for idx, _, vals, errs in _subordinate(
             np.array([float(sigma)]), rsq.size,
-            lambda idx: (sq[idx], rsq[idx], None), n_dim):
-        out[idx], err[idx] = vals[0], errs[0]
-    return out, err
+            lambda idx: (sq[idx], rsq[idx], None), n_dim, checked):
+        out[idx], err[idx] = vals[0], errs[0] if checked else 0.0
+    return out, err if checked else None
 
 
-def kernel_sums(sigmas, *, n_pairs: int, pairs,
-                n_dim: int) -> tuple[np.ndarray, np.ndarray]:
+def kernel_sums(sigmas, *, n_pairs: int, pairs, n_dim: int,
+                checked: bool = True):
     """Weighted sums of K_sigma over pairs given by index, for every sigma.
 
     ``pairs(idx)`` returns (|x|^2+|y|^2, |x-y|^2, weight) of the pairs
     with indices ``idx`` in range(n_pairs).  Returns, per sigma, the sums
-    of weight * K and of weight * error bound, reduced block by block.
+    of weight * K and of weight * error bound, reduced block by block;
+    unless ``checked``, the second is None.
     """
     sigmas = np.asarray(sigmas, dtype=float)
-    value, error = np.zeros(sigmas.size), np.zeros(sigmas.size)
-    for _, weight, vals, errs in _subordinate(sigmas, n_pairs, pairs, n_dim):
+    value, error = np.zeros((2, sigmas.size))
+    for _, weight, vals, errs in _subordinate(sigmas, n_pairs, pairs, n_dim,
+                                              checked):
         # pairwise sums, not a dot product: the mesh error bar is the
         # difference of two such sums and must not carry their rounding
         value += (vals * weight).sum(axis=1)
-        error += (errs * weight).sum(axis=1)
-    return value, error
+        error += (errs * weight).sum(axis=1) if checked else 0.0
+    return value, error if checked else None
 
 
 # ---------------------------------------------------------------------------

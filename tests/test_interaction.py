@@ -11,6 +11,8 @@ from gfp import sets
 from gfp.errors import OverlapError
 from gfp.interaction import (
     _clip_intervals,
+    _graded_cells,
+    _mesh_nodes,
     _three_pieces,
     interaction,
     j_lambda,
@@ -52,6 +54,22 @@ def test_interaction_touching_sets_is_finite():
     assert math.isfinite(est.value)
     assert est.value > 0
     assert est.error < 1e-5 * est.value
+
+
+@pytest.mark.parametrize("length", [0.0158, 0.05, 1.0])
+def test_no_node_of_a_graded_cell_lands_on_its_graded_end(length):
+    # both operands grade toward a shared end c; a node rounding onto c on
+    # each side would make x = y in the pair grid.  The cells must still
+    # tile each interval, and the innermost one stay tiny
+    for c in np.linspace(-8.0, 8.0, 161):
+        for lo_side in (True, False):
+            a, b = (c, c + length) if lo_side else (c - length, c)
+            cells = _graded_cells(a, b, lo_side, not lo_side)
+            assert cells[0][0] == a and cells[-1][1] == b
+            assert all(h == l2 for (_, h), (l2, _) in zip(cells, cells[1:]))
+            assert min(h - l for l, h in cells) < 1e-9 * length
+            for order in (8, 4):
+                assert c not in _mesh_nodes([cells], np.ones_like, order)[0]
 
 
 def test_interaction_overlap_raises():

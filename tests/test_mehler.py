@@ -302,10 +302,11 @@ def test_error_bound_covers_mpmath_far_from_the_origin():
 
 
 def test_underflow_stays_silent():
-    # two pairs 16x apart in r^2 share a band, whose first time nodes sit
-    # at the near pair's floor: there the far pair's exp underflows to an
-    # exact 0, which must neither raise nor change a value
-    sq, rsq = np.array([0.5, 0.5]), np.array([1.0, 16.0 - 1e-9])
+    # two pairs 4x apart in r^2 share a band, whose first time nodes sit
+    # at the near pair's floor: far from the origin (|x|^2 + |y|^2 = 800)
+    # the far pair's exp underflows there to an exact 0, which must
+    # neither raise nor change a value
+    sq, rsq = np.array([800.0, 800.0]), np.array([1.0, 4.0 - 1e-9])
     plain = kernel_batch(0.5, sq=sq, rsq=rsq, n_dim=1)
     with np.errstate(all="raise"):
         strict = kernel_batch(0.5, sq=sq, rsq=rsq, n_dim=1)
@@ -314,6 +315,32 @@ def test_underflow_stays_silent():
                        sets.IntervalUnion(intervals=((-1.0, 1.0),)), 0.5)
     np.testing.assert_array_equal(plain, strict)
     assert kv.value > 0 and math.isfinite(br.total.value)
+
+
+def test_unchecked_values_equal_the_checked_ones_and_carry_no_bar():
+    # 50,000 seeded pairs, N in {1, 2}, |x - y| log-uniform in [1e-6, 5]:
+    # without the 12-node check rule a value may move only by the
+    # regrouped rounding of its sums, and no error of any kind comes back
+    rng = np.random.default_rng(26)
+    sigmas = np.array([0.1, 0.5, 0.9])
+    for n_dim in (1, 2):
+        n = 25_000
+        x, d = rng.standard_normal((2, n, n_dim))
+        r = np.exp(rng.uniform(math.log(1e-6), math.log(5.0), n))
+        y = x + (r / np.linalg.norm(d, axis=1))[:, None] * d
+        sq = np.einsum("ij,ij->i", x, x) + np.einsum("ij,ij->i", y, y)
+        rsq = np.einsum("ij,ij->i", x - y, x - y)
+        for sigma in sigmas:
+            checked, _ = kernel_batch(sigma, sq=sq, rsq=rsq, n_dim=n_dim)
+            plain, none = kernel_batch(sigma, sq=sq, rsq=rsq, n_dim=n_dim,
+                                       checked=False)
+            assert none is None
+            np.testing.assert_allclose(plain, checked, rtol=1e-14, atol=0.0)
+        sums = [kernel_sums(sigmas, n_pairs=n, n_dim=n_dim, checked=checked,
+                            pairs=lambda idx: (sq[idx], rsq[idx], r[idx]))
+                for checked in (True, False)]
+        assert sums[1][1] is None
+        np.testing.assert_allclose(sums[1][0], sums[0][0], rtol=1e-14)
 
 
 def test_batch_rejects_coincident_pairs():

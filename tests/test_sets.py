@@ -220,6 +220,19 @@ def test_json_schema_shapes():
     assert isinstance(expr, sets.Complement)
 
 
+@pytest.mark.parametrize("expr", [
+    sets.Box(lo=(-1.0, 0.5), hi=(2.0, 3.0)),
+    sets.HalfSpace(normal=(0.6, -0.8), offset=-0.3),
+    sets.Ball(center=(0.7, -0.4), radius=1.25),
+])
+def test_json_roundtrip_of_2d_leaves(expr):
+    back, dim = sets.set_from_json(sets.set_to_json(expr, 2))
+    assert (back, dim) == (expr, 2)
+    x = np.random.default_rng(3).normal(scale=2.0, size=(200, 2))
+    np.testing.assert_array_equal(sets.contains(back, x),
+                                  sets.contains(expr, x))
+
+
 def test_json_rejects_malformed():
     with pytest.raises((ValueError, KeyError)):
         sets.set_from_json('{"dim": 1, "set": {"wedge": 3}}')

@@ -122,8 +122,10 @@ def _cmd_sweep(args, parser) -> int:
     if args.format == "json":
         _emit(args, result.to_json())
     else:
-        fit = ("# fit a={!r} b={!r} c={!r}".format(*result.fit_coefficients)
-               + f" residual={result.fit_residual!r}\n")
+        fit = (f"# fit a={result.fit_coefficients[0]!r}"
+               f" b={result.fit_coefficients[1]!r}"
+               f" c={result.fit_coefficients[2]!r}"
+               f" residual={result.fit_residual!r}\n")
         _emit(args, result.to_csv() + fit)
     _summary("sweep", result.extrapolated_limit, result.uncertainty)
     return 0

@@ -12,12 +12,11 @@ Evaluation: one routine, _subordinate, serves a single pair, kernel_batch
 and the weighted sums of kernel_sums, for one index sigma or many.  In
 v = log t the integrand is a smooth bump, analytic in |Im v| < pi/2, so
 the composite Gauss-Legendre panels of log_time_panels converge
-geometrically from a floor ~e^-40 below the peak (per factor-4 band of
-|x-y|^2) up to t = T; their 16- against 12-node difference plus the
-rounding of the sum is the error estimate, which callers that read values
-only skip.  The tail t > T is analytic up to the certified deviation of
-M_t from 1, folded into the bound.  The exponent of every (node, pair) is
-one matrix product, the time sum another.
+geometrically from a floor e^-40 below the peak up to t = T; their 16-
+against 12-node difference plus the rounding of the sum is the error
+estimate, skipped where only values are read.  The tail t > T is analytic
+up to the certified deviation of M_t from 1, folded into the bound.  The
+exponent of every (node, pair) is one matrix product, the time sum another.
 """
 
 from __future__ import annotations
@@ -201,12 +200,12 @@ def kernel_batch(sigma: float, *, sq: np.ndarray, rsq: np.ndarray,
     bounds are not computed and come back as None.
     """
     sq, rsq = (np.asarray(a, dtype=float).ravel() for a in (sq, rsq))
-    out, err = np.empty((2, rsq.size))
+    out = np.empty((2 if checked else 1, rsq.size))  # values, [errors]
     for idx, _, vals, errs in _subordinate(
             np.array([float(sigma)]), rsq.size,
             lambda idx: (sq[idx], rsq[idx], None), n_dim, checked):
-        out[idx], err[idx] = vals[0], errs[0] if checked else 0.0
-    return out, err if checked else None
+        out[:, idx] = (vals[0], errs[0]) if checked else vals
+    return out[0], out[1] if checked else None
 
 
 def kernel_sums(sigmas, *, n_pairs: int, pairs, n_dim: int,

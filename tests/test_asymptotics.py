@@ -306,10 +306,10 @@ def test_divergent_direct_perimeter_exceeds_bound(divergent_4):
 
 
 def test_divergent_perimeter_computes_from_five_pairs(divergent_4):
-    # at J = 5 the intervals near c ~ 3.7 are 0.0158 long: the innermost
-    # graded cell on each side of a shared end once put a Gauss node
-    # exactly on c, so x = y in the pair grid; the oracle is an mpmath
-    # value of the same perimeter (perfbench/refs.py)
+    # at J = 5 the intervals near c ~ 3.7 are 0.0158 long, so the
+    # innermost graded cell on each side of a shared end is ~7e-15 wide
+    # and a Gauss node there can round onto c (x = y in the pair grid);
+    # the oracle is an mpmath value of the same perimeter (perfbench/refs.py)
     ex = divergent_example(5, 0.5)
     est = ex.perimeter_estimate()
     assert est.value > divergent_4[1].value

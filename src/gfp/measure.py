@@ -28,6 +28,14 @@ def std_normal_cdf(t: float) -> float:
     return 0.5 * math.erfc(-t / _SQRT2)
 
 
+def normal_mass(a: float, b: float) -> float:
+    """Phi(b) - Phi(a), a <= b, by erfc on the tail's side: an upper-tail
+    interval is mirrored, so that both terms are small and keep their digits."""
+    if a > 0:
+        a, b = -b, -a
+    return 0.5 * (math.erfc(-b / _SQRT2) - math.erfc(-a / _SQRT2))
+
+
 def std_normal_pdf(t: float) -> float:
     return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
@@ -137,8 +145,8 @@ class MeasureEstimate:
 def _closed_form(expr: SetExpr, dim: int) -> float | None:
     """Closed-form gamma measure, or None when no reduction applies."""
     if dim == 1:
-        total = sum((std_normal_cdf(b) - std_normal_cdf(a)
-                     for a, b in sets.to_intervals(expr)), 0.0)
+        total = sum((normal_mass(a, b) for a, b in sets.to_intervals(expr)),
+                    0.0)
         return min(max(total, 0.0), 1.0)
     if isinstance(expr, sets.FullSpace):
         return 1.0
@@ -148,8 +156,7 @@ def _closed_form(expr: SetExpr, dim: int) -> float | None:
         # x.n is standard normal for |n| = 1
         return std_normal_cdf(expr.offset)
     if isinstance(expr, sets.Box):
-        return math.prod(std_normal_cdf(hi) - std_normal_cdf(lo)
-                         for lo, hi in zip(expr.lo, expr.hi))
+        return math.prod(map(normal_mass, expr.lo, expr.hi))
     if isinstance(expr, sets.Ball) and not any(expr.center):
         # |X|^2 is chi-square with N degrees of freedom
         return _chi2_ball_mass(dim, expr.radius)
@@ -237,7 +244,8 @@ def _slice_measure(expr: SetExpr) -> MeasureEstimate:
         ((mid[:, None] + half[:, None] * u).ravel(), np.outer(half, wt).ravel())
         for u, wt in _SLICE_RULES)))
     cols = [np.full_like(x, y) for y in (-_R_SLICE, _R_SLICE)]
-    cols += [(o - n[0] * x) / n[1] for n, o in lines if n[1]]
+    # |n[1]| <= eps: the line crosses [-10, 10] at one x, a cut; take it vertical
+    cols += [(o - n[0] * x) / n[1] for n, o in lines if abs(n[1]) > 2.0 ** -52]
     for c, r in circles:
         dy = np.sqrt(np.maximum(r * r - (x - c[0]) ** 2, 0.0))
         cols += [c[1] - dy, c[1] + dy]

@@ -96,6 +96,7 @@ def test_jlambda_json_output(half_json, tmp_path):
                  "--format", "json", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["value"] > 0
+    assert doc["method"] == "u-quadrature-1d"
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def test_no_node_of_a_graded_cell_lands_on_its_graded_end(length):
             assert all(h == l2 for (_, h), (l2, _) in zip(cells, cells[1:]))
             assert min(h - l for l, h in cells) < 1e-9 * length
             for order in (8, 4):
-                assert c not in _mesh_nodes([cells], np.ones_like, order)[0]
+                assert c not in _mesh_nodes([cells], order)[0]
 
 
 def test_interaction_overlap_raises():
@@ -249,14 +249,13 @@ def test_perimeter_of_a_far_halfline(c):
     assert p.value == pytest.approx(ref, rel=1e-7)
 
 
-@pytest.mark.parametrize("scale, radius", [(1.0, 8.6), (math.sqrt(2.0), 12.2)])
-def test_clipped_tail_mass_is_mirror_symmetric(scale, radius):
-    # both clipped tails of a half-line under gamma (scale 1) and lambda
-    # (scale sqrt 2): scale Phi(-R / scale), which cdf(inf) - cdf(R)
+def test_clipped_tail_mass_is_mirror_symmetric():
+    # both clipped tails of a half-line: Phi(-R), which Phi(inf) - Phi(R)
     # rounds to 0.0
-    expect = scale * 0.5 * math.erfc(radius / (scale * math.sqrt(2.0)))
-    _, upper = _clip_intervals([(0.3, math.inf)], radius, scale)
-    _, lower = _clip_intervals([(-math.inf, -0.3)], radius, scale)
+    radius = 8.6
+    expect = 0.5 * math.erfc(radius / math.sqrt(2.0))
+    _, upper = _clip_intervals([(0.3, math.inf)], radius)
+    _, lower = _clip_intervals([(-math.inf, -0.3)], radius)
     assert upper == pytest.approx(expect, rel=1e-12)
     assert lower == pytest.approx(expect, rel=1e-12)
 
@@ -347,43 +346,138 @@ def test_j_lambda_positive_and_finite():
     assert est.value > 0
 
 
+def _agreed(compute, dps):
+    """compute(dps) at dps and dps + 6 digits; they must agree to 1e-17."""
+    lo, hi = compute(dps), compute(dps + 6)
+    assert abs(lo - hi) <= 1e-17 * abs(hi), (lo, hi)
+    return float(hi)
+
+
 def _halfline_j_lambda_mp(c, s, dps=20):
-    """J^lambda_s((c, inf); R) by mpmath, independent of the engine.
+    """J^lambda_s((c, inf); R) by mpmath.
 
     With r = y - x and x = c - r theta the pair integral is
     int_0^inf r^(-s) int_0^1 rho(c - r theta) rho(c + r (1 - theta))
     dtheta dr, rho(x) = e^(-x^2/4) / sqrt(2 pi).  The exponent is
     -(c + r (1/2 - theta))^2 / 2 - r^2 / 8, so the theta integral is
-    e^(-r^2/8) (Phi(c + r/2) - Phi(c - r/2)) / (r sqrt(2 pi)).
+    h(r) = e^(-r^2/8) (Phi(c + r/2) - Phi(c - r/2)) / (r sqrt(2 pi)),
+    bounded at 0.  r = v^(1/(1-s)) takes the r^(-s) singularity out:
+    the integral is int_0^inf h(v^(1/(1-s))) dv / (1-s).  The value is
+    even in c; at -|c| both Phi values sit in the lower tail, and the
+    digits their difference cancels at small r are bought back.
     """
-    with mp.workdps(dps):
-        c, s = mp.mpf(c), mp.mpf(s)
+    def compute(digits):
+        with mp.workdps(digits):
+            a, p = -abs(mp.mpf(c)), 1 / (1 - mp.mpf(s))
 
-        def integrand(r):
-            inner = (mp.exp(-r * r / 8) * (mp.ncdf(c + r / 2) - mp.ncdf(c - r / 2))
-                     / (r * mp.sqrt(2 * mp.pi)))
-            return r ** (-s) * inner
+            def h(v):
+                r = v ** p
+                with mp.extradps(max(0, int(-mp.log10(r))) + 5):
+                    mass = mp.ncdf(a + r / 2) - mp.ncdf(a - r / 2)
+                return mp.exp(-r * r / 8) * mass / (r * mp.sqrt(2 * mp.pi))
 
-        return float(mp.quad(integrand, [0, 1, 4, 16, mp.inf]))
+            return p * mp.quad(h, [0, 1, 2, 4, mp.inf])
+    return _agreed(compute, dps)
 
 
 @pytest.mark.parametrize("s", [0.6, 0.75])
 def test_j_lambda_halfline_reference(s):
     c = 0.3
+    ref = _halfline_j_lambda_mp(c, s)
+    # the oracle at 50 digits
+    assert ref == pytest.approx({0.6: 0.50450120939705122,
+                                 0.75: 0.72113307957391822}[s], rel=1e-16)
     e = sets.IntervalUnion(intervals=((c, math.inf),))
     est = j_lambda(e, sets.FullSpace(), s, dim=1).total
-    assert abs(est.value - _halfline_j_lambda_mp(c, s)) <= est.error
+    assert est.method == "u-quadrature-1d"
+    assert 0 < est.error <= 1e-14 * ref
+    assert abs(est.value - ref) <= est.error
 
 
 def test_j_lambda_of_a_far_halfline():
-    # c = 12 lies beyond lambda's default clipping radius 12.2 less three
-    # standard deviations; the reference needs 40 digits, because
-    # Phi(c + r/2) - Phi(c - r/2) is ~1e-33 against values near 1
+    # at c = 12 the pair's Phi difference is ~1e-33 against values near 1
     c = 12.0
     e = sets.IntervalUnion(intervals=((c, math.inf),))
     est = j_lambda(e, sets.FullSpace(), 0.5, dim=1).total
     ref = _halfline_j_lambda_mp(c, 0.5, dps=40)   # 5.2114355302688e-19
     assert abs(est.value - ref) <= est.error
+    assert est.value == pytest.approx(ref, rel=1e-14)
+
+
+def _j_lambda_laplace_mp(shared, separated, s, dps=18):
+    """J^lambda_s from signed Gaussian orthants in time, by mpmath.
+
+    No reduction to u = y - x: |r|^(-1-s) = int q^(al-1) e^(-q r^2) dq
+    / Gamma(al), al = (1+s)/2, and q = 1/(4(e^t - 1)) turn the pair
+    integral over A x B into int_0^inf W(t) P(X in kA, Y in kB) dt, with
+    W(t) = (4(e^t-1))^((1-s)/2) 2 sqrt(tanh(t/2)) e^t / (4(e^t-1)^2)
+    / Gamma(al), (X, Y) standard with correlation rho = e^-t and endpoints
+    scaled by k = sqrt((1 + rho)/2).  P is a signed sum of orthants
+    G(h, k) = P(X < h, Y > k).  At a shared endpoint c (``shared``,
+    (weight, c)), G(c, c) = 2 T(kc, sqrt(tanh(t/2))) by Owen's T integral;
+    at h < k (``separated``, (weight, h, k)), G = Phi(h) Q(k) minus
+    Plackett's integral of the bivariate density over [0, rho], skipped
+    where it is below 10^-dps e^-20.  t = v^(2/(1-s)) bounds the integrand
+    at 0; the tail past 2 (dps + 10) ln 10 / (1 + s) is below 10^-(dps+10).
+    """
+    def compute(digits):
+        with mp.workdps(digits):
+            sig = mp.mpf(s)
+            gam = mp.gamma((1 + sig) / 2)
+
+            def f(t):
+                em1, a = mp.expm1(t), mp.sqrt(mp.tanh(t / 2))
+                rho = mp.exp(-t)
+                kappa = mp.sqrt((1 + rho) / 2)
+                total = mp.mpf(0)
+                for w, c in shared:
+                    h = kappa * c
+                    total += w * mp.quad(lambda x: mp.exp(-h * h * (1 + x * x) / 2)
+                                         / (1 + x * x), [0, a],
+                                         method="gauss-legendre") / mp.pi
+                for w, h, k in separated:
+                    if (k - h) ** 2 > 4 * t * (digits * mp.log(10) + 20):
+                        continue
+                    h, k = kappa * h, kappa * k
+                    total += w * (mp.ncdf(h) * mp.ncdf(-k) - mp.quad(
+                        lambda q: mp.exp(-(h * h - 2 * q * h * k + k * k)
+                                         / (2 * (1 - q * q)))
+                        / (2 * mp.pi * mp.sqrt(1 - q * q)), [0, rho]))
+                return ((4 * em1) ** ((1 - sig) / 2) * 2 * a * (em1 + 1)
+                        / (4 * em1 ** 2) / gam * total)
+
+            p = 2 / (1 - sig)
+            near = mp.quad(lambda v: f(v ** p) * p * v ** (p - 1) if v else 0,
+                           [0, 1])
+            t_end = 2 * (digits + 10) * mp.log(10) / (1 + sig)
+            return near + mp.quad(lambda v: f(mp.exp(v)) * mp.exp(v),
+                                  [0, mp.log(t_end)])
+    return _agreed(compute, dps)
+
+
+@pytest.mark.parametrize("omega, separated", [
+    (sets.FullSpace(), []),
+    # minus L((-inf, -1.5), (1.5, inf)), the pair outside the window
+    (sets.IntervalUnion(intervals=((-1.5, 1.5),)), [(-1, -1.5, 1.5)])])
+def test_j_lambda_matches_the_time_integral(omega, separated):
+    # J = L(E, E^c) - L(E \ Omega, E^c \ Omega): the shared endpoint 0.3
+    # and the pair outside the window
+    e, s = sets.IntervalUnion(intervals=((0.3, math.inf),)), 0.5
+    ref = _j_lambda_laplace_mp([(1, 0.3)], separated, s)
+    est = j_lambda(e, omega, s, dim=1).total
+    assert 0 < est.error <= 1e-14 * ref
+    assert abs(est.value - ref) <= est.error
+
+
+@pytest.mark.parametrize("k", range(4, 11))
+def test_j_lambda_pole_at_one(k):
+    # (1-s) J^lambda_s -> e^(-c^2/2) / (2 pi) per shared endpoint c inside
+    # Omega, at rate O(1-s)
+    s, c = 1.0 - 2.0 ** -k, 0.3
+    e = sets.IntervalUnion(intervals=((c, math.inf),))
+    est = j_lambda(e, sets.FullSpace(), s, dim=1).total
+    gap = (1.0 - s) * est.value / (math.exp(-0.5 * c * c) / (2.0 * math.pi)) - 1.0
+    assert 0.5 * (1.0 - s) < gap < 1.0 - s
 
 
 def test_j_lambda_rejects_higher_dimension():

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -69,6 +70,25 @@ def test_box_mass_is_product():
     expect = ((std_normal_cdf(1.0) - std_normal_cdf(-1.0))
               * (std_normal_cdf(2.0) - 0.5))
     assert gauss_measure(e).value == pytest.approx(expect, rel=1e-14)
+
+
+@pytest.mark.parametrize("a, b", [(8.0, 9.0), (6.0, 7.0), (-9.0, -8.0)])
+def test_tail_interval_mass_keeps_its_digits(a, b):
+    # Phi(9) - Phi(8) is 6.2e-16 next to values near 1: formed on that side
+    # it keeps no correct digit.  Both tails, and mu_limit, to 1e-14
+    e = sets.IntervalUnion(intervals=((a, b),))
+    with mp.workdps(40):
+        ref = mp.ncdf(b) - mp.ncdf(a)
+        mu = 2 * ref * (1 - ref)
+    assert abs(gauss_measure(e).value - ref) <= 1e-14 * ref
+    assert abs(mu_limit(e).mu - mu) <= 1e-14 * mu
+
+
+def test_upper_tail_box_mass_keeps_its_digits():
+    e = sets.Box(lo=(0.5, 6.0), hi=(2.0, 7.0))
+    with mp.workdps(40):
+        ref = ((mp.ncdf(2) - mp.ncdf(0.5)) * (mp.ncdf(7) - mp.ncdf(6)))
+    assert abs(gauss_measure(e).value - ref) <= 1e-14 * ref
 
 
 def test_centered_ball_chi_square():
@@ -173,6 +193,21 @@ def test_halfplane_and_disc_match_an_mpmath_slice_integral():
     est = gauss_measure(sets.Intersection(
         sets.HalfSpace(normal, offset), sets.Ball(center, radius)))
     ref = _halfplane_disc_mass_mp(normal, offset, center, radius)
+    assert abs(est.value - ref) <= min(est.error, 1e-14)
+
+
+def test_nearly_vertical_line_slices_without_overflow():
+    # n[1] = 1e-308 puts the line's crossings at |y| ~ 1e308: no warning,
+    # and the slices of the vertical line x = 0.3
+    ball = sets.Ball((0.5, 0.0), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = gauss_measure(sets.Intersection(
+            sets.HalfSpace((1.0, 1e-308), 0.3), ball))
+    assert est == gauss_measure(sets.Intersection(
+        sets.HalfSpace((1.0, 0.0), 0.3), ball))
+    # the same set turned by 90 degrees, which the helper can slice
+    ref = _halfplane_disc_mass_mp((0.0, 1.0), 0.3, (0.0, 0.5), 1.0)
     assert abs(est.value - ref) <= min(est.error, 1e-14)
 
 

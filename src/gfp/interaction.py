@@ -399,18 +399,6 @@ def perimeter(e: SetExpr, omega: SetExpr, s: float, *, seed: int = 0,
     return _perimeters(e, omega, (s,), seed, dim)[0]
 
 
-def _perimeters(e, omega, s_values, seed, dim):
-    """One PerimeterBreakdown per s.  The pieces are disjoint by
-    construction: nothing checks them.  Pieces 1-2 share the draws of
-    E & Omega and pieces 1 and 3 those of E^c & Omega: in the order 2, 1, 3,
-    one shared draw is held at a time."""
-    pieces = _three_pieces(e, omega)
-    draw = _draws(seed, pieces)
-    parts = {k: _interactions(*pieces[k], s_values, seed, dim, draw)
-             for k in (1, 0, 2)}
-    return [PerimeterBreakdown(*row) for row in zip(*map(parts.get, range(3)))]
-
-
 def j_lambda(e: SetExpr, omega: SetExpr, s: float, *,
              dim: int | None = None) -> PerimeterBreakdown:
     """Euclidean-kernel competitor functional under the weighted measure.
@@ -428,6 +416,18 @@ def j_lambda(e: SetExpr, omega: SetExpr, s: float, *,
         for a, b in _three_pieces(e, omega)))
 
 
+def _perimeters(e, omega, s_values, seed, dim):
+    """One PerimeterBreakdown per s.  The pieces are disjoint by
+    construction: nothing checks them.  Pieces 1-2 share the draws of
+    E & Omega and pieces 1 and 3 those of E^c & Omega: in the order 2, 1, 3,
+    one shared draw is held at a time."""
+    pieces = _three_pieces(e, omega)
+    draw = _draws(seed, pieces)
+    parts = {k: _interactions(*pieces[k], s_values, seed, dim, draw)
+             for k in (1, 0, 2)}
+    return [PerimeterBreakdown(*row) for row in zip(*map(parts.get, range(3)))]
+
+
 def _lambda_pair(ivs_a, ivs_b, s):
     """int_A int_B |x-y|^(-1-s) dlambda dlambda, lambda = e^(-x^2/4)/sqrt(2 pi).
 
@@ -436,37 +436,41 @@ def _lambda_pair(ivs_a, ivs_b, s):
     lo = max(a1 + u/2, b1 - u/2), w = min(a2 - a1, b2 - b1, (a2 - b1) + u,
     (b2 - a1) - u).  So the pair is int u^(-1-s) G(u) du, G = e^(-u^2/8)
     (Phi(lo + w) - Phi(lo)) / sqrt(2 pi), by Gauss-Legendre in ln u (16 nodes,
-    12 for the check) on panels <= 1/2 wide cut at w's kinks and u = 60;
-    touching pairs add u < u0, where G/u is constant to O(u0^2).  The error
-    adds the rules' difference and 32 eps of rounding.
+    12 for the check) on panels <= 1/2 wide from the gap b1 - a2, cut at w's
+    kinks and u = 60.  A touching pair has w = u below both lengths, where
+    G/u is even in u: below u0, or the shorter length, it adds a closed form
+    exact to O(u0^2).  The error adds the rules' difference and 32 eps of
+    rounding.
     """
     totals, nodes, root = np.zeros(2), 0, math.sqrt(2.0 * math.pi)
     for (a1, a2), (b1, b2) in map(sorted, product(ivs_a, ivs_b)):
-        start, end = max(b1 - a2, _U0), min(b2 - a1, _U_END)
+        start = b1 - a2 if b1 > a2 else min(_U0, a2 - a1, b2 - b1)
+        end = min(b2 - a1, _U_END)
         if start >= end:
             continue
+
+        def g(u):
+            """u^-s G(u), as u^(-1-s) G(u) du = g(u) d(ln u)."""
+            lo = np.maximum(a1 + 0.5 * u, b1 - 0.5 * u)
+            w = np.minimum(min(a2 - a1, b2 - b1),
+                           np.minimum((a2 - b1) + u, (b2 - a1) - u))
+            mass, short = np.empty_like(u), w < 1.0
+            v = lo[short, None] + w[short, None] * (0.5 + 0.5 * _PHI_RULE[0])
+            mass[short] = 0.5 * w[short] * (np.exp(-0.5 * v * v) @ _PHI_RULE[1]) / root
+            mass[~short] = [normal_mass(x, x + d) for x, d in zip(lo[~short], w[~short])]
+            return u ** -s * np.exp(-0.125 * u * u) * mass / root
+
         knots = np.log(sorted({start, end} | {k for k in (b1 - a1, b2 - a2)
                                                if start < k < end}))
         edges = np.concatenate([knots[:1]] + [
             np.linspace(lo, hi, 1 + math.ceil((hi - lo) / 0.5))[1:]
             for lo, hi in zip(knots[:-1], knots[1:])])
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-        u = np.concatenate([np.exp(mid[:, None] + half[:, None] * z).ravel()
-                            for z, _ in _U_RULES] + [[_U0]] * (b1 == a2))
-        lo = np.maximum(a1 + 0.5 * u, b1 - 0.5 * u)
-        w = np.minimum(min(a2 - a1, b2 - b1),
-                       np.minimum((a2 - b1) + u, (b2 - a1) - u))
-        mass, short = np.empty_like(u), w < 1.0
-        v = lo[short, None] + w[short, None] * (0.5 + 0.5 * _PHI_RULE[0])
-        mass[short] = 0.5 * w[short] * (np.exp(-0.5 * v * v) @ _PHI_RULE[1]) / root
-        mass[~short] = [normal_mass(x, x + d) for x, d in zip(lo[~short], w[~short])]
-        # u^(-1-s) G(u) du = u^-s G(u) d(ln u)
-        f = u ** -s * np.exp(-0.125 * u * u) * mass / root
-        n = mid.size * _U_RULES[0][0].size
-        totals += [np.outer(half, wz).ravel() @ f[i:j] for (_, wz), i, j
-                   in zip(_U_RULES, (0, n), (n, u.size - (b1 == a2)))]
-        totals += f[-1] / (1.0 - s) if b1 == a2 else 0.0
-        nodes += n
+        totals += [np.outer(half, wz).ravel() @ g(
+            np.exp(mid[:, None] + half[:, None] * z).ravel()) for z, wz in _U_RULES]
+        if b1 == a2:
+            totals += g(np.array([start]))[0] / (1.0 - s)
+        nodes += mid.size * _U_RULES[0][0].size
     value = float(totals[0])
     return InteractionEstimate(value, abs(value - float(totals[1]))
                                + 32 * 2.0 ** -52 * value, "u-quadrature-1d", nodes)

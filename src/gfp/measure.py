@@ -36,10 +36,6 @@ def normal_mass(a: float, b: float) -> float:
     return 0.5 * (math.erfc(-b / _SQRT2) - math.erfc(-a / _SQRT2))
 
 
-def std_normal_pdf(t: float) -> float:
-    return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-
-
 def _chi2_ball_mass(n_dim: int, radius: float) -> float:
     """P(chi^2_N <= r^2), the regularised incomplete gamma P(N/2, r^2/2).
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import sets
 from .measure import (_gauss_rule, _normalized_hermite_series, abs_gamma_neg,
-                      gamma_fn, std_normal_cdf, std_normal_pdf)
+                      gamma_fn, std_normal_cdf)
 
 _QUAD_EXPAND_CAP = 300     # beyond this, quadrature expansion is refused
 
@@ -60,7 +60,8 @@ def _indicator_coefficients(ivs, degree: int) -> np.ndarray:
             if math.isfinite(pt) and degree >= 1:
                 h = _normalized_hermite_series(pt, degree - 1)
                 # h_{n-1}(pt) * sqrt((n-1)!/n!) = h_{n-1}(pt)/sqrt(n)
-                coeffs[1:] += sign * std_normal_pdf(pt) * h / np.sqrt(n)
+                phi = math.exp(-0.5 * pt * pt) / math.sqrt(2.0 * math.pi)
+                coeffs[1:] += sign * phi * h / np.sqrt(n)
     return coeffs
 
 
@@ -142,10 +143,8 @@ def apply_frac_ou(exp: HermiteExpansion, s: float) -> HermiteExpansion:
     """Fractional Ornstein-Uhlenbeck operator acting diagonally.
 
     c_n -> |Gamma(-s)| n^s c_n; the constant mode (eigenvalue 0) is
-    annihilated.
+    annihilated.  abs_gamma_neg refuses s outside (0, 1).
     """
-    if not 0 < s < 1:
-        raise ValueError(f"s must lie in (0,1), got {s}")
     factor = abs_gamma_neg(s) * np.arange(exp.coeffs.size, dtype=float) ** s
     tail = exp.tail_bound * (abs_gamma_neg(s) * float(exp.coeffs.size) ** s) ** 2
     return HermiteExpansion(exp.coeffs * factor, tail)

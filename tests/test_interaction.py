@@ -469,6 +469,19 @@ def test_j_lambda_matches_the_time_integral(omega, separated):
     assert abs(est.value - ref) <= est.error
 
 
+@pytest.mark.parametrize("s", [0.5, 0.9])
+def test_j_lambda_of_a_window_just_past_the_endpoint(s):
+    # Omega ends 1e-10 past E's endpoint, below u0: E & Omega is a touching
+    # piece shorter than u0, and E \ Omega lies 1e-10 from E^c & Omega
+    c, gap = 0.3, 1e-10
+    e = sets.IntervalUnion(intervals=((c, math.inf),))
+    omega = sets.IntervalUnion(intervals=((-1.0, c + gap),))
+    ref = _j_lambda_laplace_mp([(1, c)], [(-1, -1, c + gap)], s)
+    est = j_lambda(e, omega, s, dim=1).total
+    assert 0 < est.error <= 1e-14 * ref
+    assert abs(est.value - ref) <= est.error
+
+
 @pytest.mark.parametrize("k", range(4, 11))
 def test_j_lambda_pole_at_one(k):
     # (1-s) J^lambda_s -> e^(-c^2/2) / (2 pi) per shared endpoint c inside

@@ -455,28 +455,21 @@ def _j_lambda_laplace_mp(shared, separated, s, dps=18):
     return _agreed(compute, dps)
 
 
-@pytest.mark.parametrize("omega, separated", [
-    (sets.FullSpace(), []),
+@pytest.mark.parametrize("omega, separated, s", [
+    (sets.FullSpace(), [], 0.5),
     # minus L((-inf, -1.5), (1.5, inf)), the pair outside the window
-    (sets.IntervalUnion(intervals=((-1.5, 1.5),)), [(-1, -1.5, 1.5)])])
-def test_j_lambda_matches_the_time_integral(omega, separated):
-    # J = L(E, E^c) - L(E \ Omega, E^c \ Omega): the shared endpoint 0.3
-    # and the pair outside the window
-    e, s = sets.IntervalUnion(intervals=((0.3, math.inf),)), 0.5
-    ref = _j_lambda_laplace_mp([(1, 0.3)], separated, s)
-    est = j_lambda(e, omega, s, dim=1).total
-    assert 0 < est.error <= 1e-14 * ref
-    assert abs(est.value - ref) <= est.error
-
-
-@pytest.mark.parametrize("s", [0.5, 0.9])
-def test_j_lambda_of_a_window_just_past_the_endpoint(s):
+    (sets.IntervalUnion(intervals=((-1.5, 1.5),)), [(-1, -1.5, 1.5)], 0.5),
     # Omega ends 1e-10 past E's endpoint, below u0: E & Omega is a touching
     # piece shorter than u0, and E \ Omega lies 1e-10 from E^c & Omega
-    c, gap = 0.3, 1e-10
-    e = sets.IntervalUnion(intervals=((c, math.inf),))
-    omega = sets.IntervalUnion(intervals=((-1.0, c + gap),))
-    ref = _j_lambda_laplace_mp([(1, c)], [(-1, -1, c + gap)], s)
+    (sets.IntervalUnion(intervals=((-1.0, 0.3 + 1e-10),)),
+     [(-1, -1, 0.3 + 1e-10)], 0.5),
+    (sets.IntervalUnion(intervals=((-1.0, 0.3 + 1e-10),)),
+     [(-1, -1, 0.3 + 1e-10)], 0.9)])
+def test_j_lambda_matches_the_time_integral(omega, separated, s):
+    # J = L(E, E^c) - L(E \ Omega, E^c \ Omega): the shared endpoint 0.3
+    # and the pair outside the window
+    e = sets.IntervalUnion(intervals=((0.3, math.inf),))
+    ref = _j_lambda_laplace_mp([(1, 0.3)], separated, s)
     est = j_lambda(e, omega, s, dim=1).total
     assert 0 < est.error <= 1e-14 * ref
     assert abs(est.value - ref) <= est.error
